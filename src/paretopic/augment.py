@@ -131,18 +131,18 @@ class TfidfAugmenter:
         else:
             n_replace = math.ceil(replace_frac * nnz)
         scored = sorted(self.scores(doc).items(), key=lambda kv: (kv[1], kv[0]))
-        if polarity == "related":
-            victims = [w for w, _ in scored[:n_replace]]
-        else:
-            victims = [w for w, _ in scored[-n_replace:]]
+        chosen = scored[:n_replace] if polarity == "related" else scored[-n_replace:]
+        victims = [w for w, _ in chosen]
         rng = np.random.default_rng(rng_seed)
         keep = set(doc.counts) - set(victims)
         new_counts = {w: doc.counts[w] for w in keep}
-        candidates = [w for w in range(self.vocab.size) if w not in doc.counts]
+        fresh = np.ones(self.vocab.size, dtype=bool)
+        fresh[list(doc.counts)] = False
+        candidates = np.flatnonzero(fresh).tolist()  # ascending word ids
         for victim in victims:
             if candidates:
-                pick = int(rng.choice(len(candidates)))
-                repl = candidates.pop(pick)
+                # same draw as rng.choice(len(candidates)), without its overhead
+                repl = candidates.pop(int(rng.integers(len(candidates))))
             else:  # vocab too small for fresh words; reuse the victim slot
                 repl = victim
             new_counts[repl] = new_counts.get(repl, 0) + doc.counts[victim]
@@ -225,11 +225,10 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
         used = method
         if method == "llm":
             opts = llm_options or {}
+            text = doc.raw_text or bow_to_text(doc, vocab)
             try:
-                pos = llm_augment(doc.raw_text or bow_to_text(doc, vocab),
-                                  "related", doc_id=i, **opts)
-                neg = llm_augment(doc.raw_text or bow_to_text(doc, vocab),
-                                  "unrelated", doc_id=i, **opts)
+                pos = llm_augment(text, "related", doc_id=i, **opts)
+                neg = llm_augment(text, "unrelated", doc_id=i, **opts)
             except LlmAugmentError:
                 log.warning("doc %d: LLM augmentation failed, falling back to tfidf", i)
                 used = "tfidf"

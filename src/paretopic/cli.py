@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 
 import numpy as np
 
@@ -22,24 +23,43 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
-# config-file key -> TrainConfig field
+# config key -> TrainConfig field; the field's type converts the value
 CONFIG_KEYS = {
-    "model.T": ("num_topics", int),
-    "model.H": ("hidden", int),
-    "setcl.K": ("set_size", int),
-    "setcl.S": ("shuffle_count", int),
-    "setcl.tau": ("temperature", float),
-    "setcl.pooling_positive": ("pool_positive", str),
-    "setcl.pooling_negative": ("pool_negative", str),
-    "setcl.include_own_negative": ("include_own_negative", lambda s: s.lower() in ("1", "true", "yes")),
-    "train.lr": ("learning_rate", float),
-    "train.batch_size": ("batch_size", int),
-    "train.epochs": ("epochs", int),
-    "train.seed": ("seed", int),
-    "moo.strategy": ("moo_strategy", str),
-    "moo.linear_alpha": ("linear_alpha", float),
-    "moo.tie_eps": ("tie_eps", float),
+    "model.T": "num_topics",
+    "model.H": "hidden",
+    "setcl.K": "set_size",
+    "setcl.S": "shuffle_count",
+    "setcl.tau": "temperature",
+    "setcl.pooling_positive": "pool_positive",
+    "setcl.pooling_negative": "pool_negative",
+    "setcl.include_own_negative": "include_own_negative",
+    "train.lr": "learning_rate",
+    "train.batch_size": "batch_size",
+    "train.epochs": "epochs",
+    "train.seed": "seed",
+    "moo.strategy": "moo_strategy",
+    "moo.linear_alpha": "linear_alpha",
+    "moo.tie_eps": "tie_eps",
 }
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _apply_config_item(overrides: dict, item: str, where: str) -> None:
+    """Parse one key=value item into overrides[field]; where prefixes errors."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    key, value = (part.strip() for part in item.split("=", 1))
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    field = CONFIG_KEYS[key]
+    kind = typing.get_type_hints(trainer.TrainConfig)[field]
+    try:
+        if kind is bool and value.lower() not in _BOOLS:
+            raise ValueError(f"expected one of 1/0/true/false/yes/no, got {value!r}")
+        overrides[field] = _BOOLS[value.lower()] if kind is bool else kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,18 +78,8 @@ def parse_config_file(path: str) -> dict:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        field, conv = CONFIG_KEYS[key]
-        try:
-            overrides[field] = conv(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if line:
+            _apply_config_item(overrides, line, f"{path}:{lineno}")
     return overrides
 
 
@@ -78,16 +88,7 @@ def resolve_train_config(args) -> trainer.TrainConfig:
     if args.config:
         overrides.update(parse_config_file(args.config))
     for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        field, conv = CONFIG_KEYS[key]
-        try:
-            overrides[field] = conv(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
+        _apply_config_item(overrides, item, "--set")
     if args.seed is not None:
         overrides["seed"] = args.seed
     if "seed" not in overrides:
@@ -99,7 +100,7 @@ def resolve_train_config(args) -> trainer.TrainConfig:
 
 def print_resolved_config(config: trainer.TrainConfig) -> None:
     print("# resolved config")
-    reverse = {field: key for key, (field, _) in CONFIG_KEYS.items()}
+    reverse = {field: key for key, field in CONFIG_KEYS.items()}
     for f in dataclasses.fields(config):
         key = reverse.get(f.name, f.name)
         print(f"{key} = {getattr(config, f.name)}")
@@ -265,7 +266,7 @@ def run_selftest(verbose: bool = True) -> bool:
     Z = rng.standard_normal((B, T))
     Zp = rng.standard_normal((B, T))
     Zm = rng.standard_normal((B, T))
-    members = setcl.members_matrix(setcl.build_sets(setcl.build_index_matrix(B, S, 3), K))
+    members = setcl.build_sets(setcl.build_index_matrix(B, S, 3), K)
 
     def inf_of_z(zflat):
         z = zflat.reshape(B, T)

@@ -1,8 +1,8 @@
-"""Dense float64 numeric primitives with explicit forward/backward pairs.
+"""Dense float64 numeric primitives, their backward functions, and a
+finite-difference gradient checker.
 
-Every derivative used by the model is computed here, by hand-written
-backward functions. Each primitive's backward is validated against
-central finite differences in the test suite.
+Each backward is validated against central finite differences in the test
+suite; reference primitives used only by the tests live in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ import numpy as np
 from .errors import NumericError
 
 Array = np.ndarray
-
-POOL_MODES = ("min", "max", "mean", "sum")
 
 
 def _as_f64(x) -> Array:
@@ -28,14 +26,6 @@ def affine(x: Array, W: Array, b: Array) -> Array:
     if b.shape[0] != W.shape[1]:
         raise ValueError(f"affine bias mismatch: W {W.shape} vs b {b.shape}")
     return x @ W + b
-
-
-def affine_backward(x: Array, W: Array, dy: Array):
-    """Given upstream dL/dy, return (dL/dx, dL/dW, dL/db)."""
-    dx = dy @ W.T
-    dW = x.T @ dy
-    db = dy.sum(axis=0)
-    return dx, dW, db
 
 
 def sigmoid(x: Array) -> Array:
@@ -73,70 +63,6 @@ def log_softmax(x: Array) -> Array:
     x = _as_f64(x)
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def log_softmax_backward(lp: Array, dy: Array) -> Array:
-    return dy - np.exp(lp) * dy.sum(axis=-1, keepdims=True)
-
-
-def pool(rows: Array, mode: str) -> Array:
-    """Elementwise reduction of rows [K,T] -> [T].
-
-    min/max ties are owned by the lowest row index (matters only for the
-    subgradient, not the value).
-    """
-    rows = _as_f64(rows)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ValueError(f"pool expects a nonempty [K,T] array, got shape {rows.shape}")
-    if mode == "min":
-        return rows.min(axis=0)
-    if mode == "max":
-        return rows.max(axis=0)
-    if mode == "mean":
-        return rows.mean(axis=0)
-    if mode == "sum":
-        return rows.sum(axis=0)
-    raise ValueError(f"unknown pool mode {mode!r}, expected one of {POOL_MODES}")
-
-
-def pool_backward(rows: Array, mode: str, dy: Array) -> Array:
-    """Subgradient routing for pool: full credit to the first attaining row."""
-    K, T = rows.shape
-    drows = np.zeros_like(rows)
-    if mode in ("min", "max"):
-        idx = rows.argmin(axis=0) if mode == "min" else rows.argmax(axis=0)
-        drows[idx, np.arange(T)] = dy
-    elif mode == "mean":
-        drows[:] = dy / K
-    elif mode == "sum":
-        drows[:] = dy
-    else:
-        raise ValueError(f"unknown pool mode {mode!r}")
-    return drows
-
-
-def cosine_sim_tau(u: Array, v: Array, tau: float) -> float:
-    """Temperature-scaled cosine: (u.v) / (|u||v| tau)."""
-    u, v = _as_f64(u).ravel(), _as_f64(v).ravel()
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise NumericError("cosine_sim_tau: zero-norm vector")
-    return float(u @ v / (nu * nv * tau))
-
-
-def cosine_sim_tau_backward(u: Array, v: Array, tau: float, dout: float):
-    """Return (dL/du, dL/dv) for f = (u.v)/(|u||v| tau)."""
-    u, v = _as_f64(u).ravel(), _as_f64(v).ravel()
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise NumericError("cosine_sim_tau_backward: zero-norm vector")
-    uh, vh = u / nu, v / nv
-    c = uh @ vh
-    du = dout * (vh - c * uh) / (nu * tau)
-    dv = dout * (uh - c * vh) / (nv * tau)
-    return du, dv
 
 
 def grad_check(loss_and_grad, params: Array, h: float = 1e-5,

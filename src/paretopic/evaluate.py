@@ -204,8 +204,8 @@ def similarity_probe(text_a: str, text_b: str, enc: ntm.EncoderParams,
         doc = vectorize(text, vocab)
         if doc.is_empty:
             raise DataError(f"the {name} probe text has no in-vocabulary tokens: {text!r}")
-        mu, _ = ntm.encode(doc, enc, vocab.size)
-        thetas.append(diffnet.softmax(mu.reshape(1, -1)).ravel())
+        mu = ntm.encode_batch(ntm.docs_to_matrix([doc], vocab.size), enc).mu
+        thetas.append(diffnet.softmax(mu).ravel())
     a, b = thetas
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 

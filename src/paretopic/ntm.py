@@ -5,7 +5,7 @@ elbo_with_grads / encoder_backward can run without recomputation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,8 +20,27 @@ INIT_SCALE = 0.05
 DEFAULT_HIDDEN = 100
 
 
+class _Params:
+    """Named float64 arrays; the field order is the flat (packed) layout."""
+
+    def arrays(self) -> list[Array]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def copy(self):
+        return type(self)(*(a.copy() for a in self.arrays()))
+
+    def subtract_flat(self, flat: Array) -> None:
+        """In place: subtract from each array its slice of the flat vector."""
+        pos = 0
+        for a in self.arrays():
+            a -= flat[pos:pos + a.size].reshape(a.shape)
+            pos += a.size
+        if pos != flat.size:
+            raise ValueError(f"flat vector length {flat.size} does not match layout ({pos})")
+
+
 @dataclass
-class EncoderParams:
+class EncoderParams(_Params):
     W1: Array
     b1: Array
     W_mu: Array
@@ -29,23 +48,11 @@ class EncoderParams:
     W_lv: Array
     b_lv: Array
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(*(a.copy() for a in self.arrays()))
-
-    def arrays(self):
-        return [self.W1, self.b1, self.W_mu, self.b_mu, self.W_lv, self.b_lv]
-
 
 @dataclass
-class DecoderParams:
+class DecoderParams(_Params):
     beta: Array
     b_dec: Array
-
-    def copy(self) -> "DecoderParams":
-        return DecoderParams(self.beta.copy(), self.b_dec.copy())
-
-    def arrays(self):
-        return [self.beta, self.b_dec]
 
 
 def encoder_shapes(V: int, H: int, T: int):
@@ -133,12 +140,6 @@ def encode_batch(Xc: Array, enc: EncoderParams) -> EncodeCache:
     return EncodeCache(Xn=Xn, a1=a1, h=h, mu=mu, lv_raw=lv_raw, logvar=logvar)
 
 
-def encode(doc: BowDocument, enc: EncoderParams, V: int):
-    """Single-document convenience wrapper; returns (mu, logvar) vectors."""
-    cache = encode_batch(docs_to_matrix([doc], V), enc)
-    return cache.mu[0], cache.logvar[0]
-
-
 def encoder_backward(cache: EncodeCache, enc: EncoderParams,
                      dmu: Array, dlogvar: Array) -> Array:
     """Backward through the encoder; returns the flat encoder gradient."""
@@ -160,19 +161,9 @@ def reparameterize(mu: Array, logvar: Array, eps: Array) -> Array:
     return mu + np.exp(logvar / 2.0) * eps
 
 
-def theta_from_z(z: Array) -> Array:
-    return diffnet.softmax(z)
-
-
-def reconstruction_loss(x: Array, theta_doc: Array, dec: DecoderParams) -> float:
-    """-sum_v x_v log_softmax(theta beta + b_dec)_v for one document."""
-    lp = diffnet.log_softmax(theta_doc.reshape(1, -1) @ dec.beta + dec.b_dec)
-    return float(-(x * lp.ravel()).sum())
-
-
-def kl_loss(mu: Array, logvar: Array) -> float:
-    """Closed-form KL(q || N(0, I)) for one diagonal Gaussian."""
-    return float(0.5 * np.sum(mu ** 2 + np.exp(logvar) - logvar - 1.0))
+def reparameterize_backward(dz: Array, eps: Array, logvar: Array):
+    """Map dL/dz to (dL/dmu, dL/dlogvar); dL/dmu is dz itself, not a copy."""
+    return dz, dz * eps * 0.5 * np.exp(logvar / 2.0)
 
 
 @dataclass
@@ -214,8 +205,7 @@ def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
     db_dec = dlogits.sum(axis=0)
     dtheta = dlogits @ dec.beta.T
     dz = diffnet.softmax_backward(theta, dtheta)
-    dmu = dz.copy()
-    dlogvar = dz * eps * 0.5 * np.exp(logvar / 2.0)
+    dmu, dlogvar = reparameterize_backward(dz, eps, logvar)
     # KL backward
     dmu += mu / B
     dlogvar += 0.5 * (np.exp(logvar) - 1.0) / B

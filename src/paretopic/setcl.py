@@ -6,32 +6,15 @@ the max-pooled anchor with every other set's negative view.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import diffnet
 from .errors import NumericError
 
 Array = np.ndarray
 
 DEFAULT_POOL_POSITIVE = "min"
 DEFAULT_POOL_NEGATIVE = "max"
-
-
-@dataclass
-class DocumentSet:
-    member_indices: list[int]
-    shuffle_row: int
-    set_column: int
-
-
-@dataclass
-class SetRepresentation:
-    s_phi_minus: Array  # anchor view under the negative-side pooling
-    s_phi_plus: Array   # anchor view under the positive-side pooling
-    s_minus: Array      # pooled negative-augmented members
-    s_plus: Array       # pooled positive-augmented members
+POOL_MODES = ("min", "max", "mean", "sum")
 
 
 def build_index_matrix(B: int, S: int, rng_seed) -> Array:
@@ -47,36 +30,21 @@ def build_index_matrix(B: int, S: int, rng_seed) -> Array:
     return M
 
 
-def build_sets(M: Array, K: int) -> list[DocumentSet]:
-    """Consecutive non-overlapping K-blocks per shuffle row; tails are dropped."""
+def build_sets(M: Array, K: int) -> Array:
+    """Consecutive non-overlapping K-blocks per shuffle row; tails are dropped.
+
+    Returns the [S*(B//K), K] member matrix; row s*(B//K) + j holds
+    M[s, j*K:(j+1)*K].
+    """
     S, B = M.shape
     if not (1 <= K <= B):
         raise ValueError(f"set size K={K} must satisfy 1 <= K <= B={B}")
-    sets = []
-    for s in range(S):
-        for j in range(B // K):
-            members = M[s, j * K:(j + 1) * K].tolist()
-            sets.append(DocumentSet(member_indices=members, shuffle_row=s, set_column=j))
-    return sets
+    return M[:, :B // K * K].reshape(S * (B // K), K)
 
 
-def members_matrix(sets: list[DocumentSet]) -> Array:
-    return np.array([st.member_indices for st in sets], dtype=np.int64)
-
-
-def set_representations(doc_set: DocumentSet, Z: Array, Zp: Array, Zm: Array,
-                        pool_positive: str = DEFAULT_POOL_POSITIVE,
-                        pool_negative: str = DEFAULT_POOL_NEGATIVE) -> SetRepresentation:
-    """Pool one set's member topic vectors from the three encoded views."""
-    idx = np.asarray(doc_set.member_indices)
-    if idx.max() >= Z.shape[0] or idx.max() >= Zp.shape[0] or idx.max() >= Zm.shape[0]:
-        raise ValueError(f"set member index {int(idx.max())} has no topic vector")
-    return SetRepresentation(
-        s_phi_minus=diffnet.pool(Z[idx], pool_negative),
-        s_phi_plus=diffnet.pool(Z[idx], pool_positive),
-        s_minus=diffnet.pool(Zm[idx], pool_negative),
-        s_plus=diffnet.pool(Zp[idx], pool_positive),
-    )
+def members_matrix(sets) -> Array:
+    """The output of build_sets (or any nested sequence) as an int64 array."""
+    return np.asarray(sets, dtype=np.int64)
 
 
 def _row_norms(X: Array) -> Array:
@@ -88,7 +56,7 @@ def _row_norms(X: Array) -> Array:
 
 def _loss_from_pooled(s_phip: Array, s_plus: Array, s_phim: Array, s_min: Array,
                       tau: float, include_own_negative: bool, want_grads: bool):
-    """Shared core: loss and, optionally, gradients w.r.t. the pooled vectors."""
+    """Loss and, optionally, gradients w.r.t. the pooled vectors."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     N = s_phip.shape[0]
@@ -127,34 +95,17 @@ def _loss_from_pooled(s_phip: Array, s_plus: Array, s_phim: Array, s_min: Array,
     return loss, (d_phip, d_plus, d_phim, d_min)
 
 
-def setwise_infonce(reps: list[SetRepresentation], tau: float,
-                    include_own_negative: bool = False) -> float:
-    """Loss over precomputed set representations (reference entry point)."""
-    if not reps:
-        raise ValueError("setwise_infonce: need at least one set")
-    s_phip = np.stack([r.s_phi_plus for r in reps])
-    s_plus = np.stack([r.s_plus for r in reps])
-    s_phim = np.stack([r.s_phi_minus for r in reps])
-    s_min = np.stack([r.s_minus for r in reps])
-    loss, _ = _loss_from_pooled(s_phip, s_plus, s_phim, s_min, tau,
-                                include_own_negative, want_grads=False)
-    return loss
-
-
 def _pool_members(Zv: Array, members: Array, mode: str):
     """Pool members [N,K] of view Zv [B,T] -> ([N,T], routing argindices or None)."""
     A = Zv[members]  # [N,K,T]
-    if mode == "min":
-        arg = A.argmin(axis=1)
-        return np.take_along_axis(A, arg[:, None, :], axis=1)[:, 0, :], arg
-    if mode == "max":
-        arg = A.argmax(axis=1)
+    if mode in ("min", "max"):
+        arg = A.argmin(axis=1) if mode == "min" else A.argmax(axis=1)
         return np.take_along_axis(A, arg[:, None, :], axis=1)[:, 0, :], arg
     if mode == "mean":
         return A.mean(axis=1), None
     if mode == "sum":
         return A.sum(axis=1), None
-    raise ValueError(f"unknown pool mode {mode!r}")
+    raise ValueError(f"unknown pool mode {mode!r}, expected one of {POOL_MODES}")
 
 
 def _route_back(dZv: Array, members: Array, arg, dS: Array, mode: str) -> None:

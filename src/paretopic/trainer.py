@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import diffnet, moo, ntm, setcl
+from . import moo, ntm, setcl
 from .augment import AugmentedTriple
 from .corpus import Corpus, vectorize
 from .errors import ConfigError, DataError, NumericError
@@ -54,8 +54,8 @@ class TrainConfig:
         if self.moo_strategy not in moo.STRATEGIES:
             raise ConfigError(
                 f"unknown moo strategy {self.moo_strategy!r}, expected one of {moo.STRATEGIES}")
-        if self.pool_positive not in diffnet.POOL_MODES \
-                or self.pool_negative not in diffnet.POOL_MODES:
+        if self.pool_positive not in setcl.POOL_MODES \
+                or self.pool_negative not in setcl.POOL_MODES:
             raise ConfigError("pooling modes must be one of min|max|mean|sum")
 
 
@@ -111,19 +111,6 @@ def prepare_training_data(corpus: Corpus, triples: list[AugmentedTriple]) -> Tra
                      Xm=ntm.docs_to_matrix(negatives, V))
 
 
-def _encode_view(Xc: Array, enc: ntm.EncoderParams, rng: np.random.Generator):
-    cache = ntm.encode_batch(Xc, enc)
-    eps = rng.standard_normal(cache.mu.shape)
-    z = ntm.reparameterize(cache.mu, cache.logvar, eps)
-    return cache, eps, z
-
-
-def _view_encoder_grad(cache, enc, eps, dz: Array) -> Array:
-    dmu = dz
-    dlogvar = dz * eps * 0.5 * np.exp(cache.logvar / 2.0)
-    return ntm.encoder_backward(cache, enc, dmu, dlogvar)
-
-
 def train_step(batch_rows: Array, state: ModelState, data: TrainData,
                config: TrainConfig, step: int) -> dict:
     """One Algorithm-style update; mutates state in place, returns a log record."""
@@ -132,24 +119,25 @@ def train_step(batch_rows: Array, state: ModelState, data: TrainData,
         raise ConfigError(f"batch of {B} documents is smaller than set size {config.set_size}")
     rng = state.rng
     Xb = data.Xc[batch_rows]
-    Xbp = data.Xp[batch_rows]
-    Xbm = data.Xm[batch_rows]
+    views = []  # (cache, eps, z) of the anchor, positive and negative views
+    for X in (Xb, data.Xp[batch_rows], data.Xm[batch_rows]):
+        cache = ntm.encode_batch(X, state.enc)
+        eps = rng.standard_normal(cache.mu.shape)
+        views.append((cache, eps, ntm.reparameterize(cache.mu, cache.logvar, eps)))
 
-    cache_x, eps_x, z = _encode_view(Xb, state.enc, rng)
-    cache_p, eps_p, zp = _encode_view(Xbp, state.enc, rng)
-    cache_m, eps_m, zm = _encode_view(Xbm, state.enc, rng)
+    members = setcl.build_sets(setcl.build_index_matrix(B, config.shuffle_count, rng),
+                               config.set_size)
 
-    M = setcl.build_index_matrix(B, config.shuffle_count, rng)
-    members = setcl.members_matrix(setcl.build_sets(M, config.set_size))
-
-    inf_loss, dZ, dZp, dZm = setcl.infonce_with_grads(
-        z, zp, zm, members, config.temperature,
+    inf_loss, *dzs = setcl.infonce_with_grads(
+        *(z for _, _, z in views), members, config.temperature,
         pool_positive=config.pool_positive, pool_negative=config.pool_negative,
         include_own_negative=config.include_own_negative)
-    g_inf = (_view_encoder_grad(cache_x, state.enc, eps_x, dZ)
-             + _view_encoder_grad(cache_p, state.enc, eps_p, dZp)
-             + _view_encoder_grad(cache_m, state.enc, eps_m, dZm))
+    g_views = [ntm.encoder_backward(cache, state.enc,
+                                    *ntm.reparameterize_backward(dz, eps, cache.logvar))
+               for (cache, eps, _), dz in zip(views, dzs)]
+    g_inf = g_views[0] + g_views[1] + g_views[2]
 
+    cache_x, eps_x, _ = views[0]
     elbo = ntm.elbo_with_grads(Xb, state.enc, state.dec, eps_x, cache=cache_x)
 
     if not (np.isfinite(inf_loss) and np.isfinite(elbo.loss)):
@@ -162,10 +150,8 @@ def train_step(batch_rows: Array, state: ModelState, data: TrainData,
         params={"linear_alpha": config.linear_alpha, "tie_eps": config.tie_eps},
         rng=rng, losses=(inf_loss, elbo.loss))
 
-    enc_flat = ntm.pack_encoder(state.enc) - config.learning_rate * decision.direction
-    dec_flat = ntm.pack_decoder(state.dec) - config.learning_rate * elbo.g_dec
-    state.enc = ntm.unpack_encoder(enc_flat, state.V, state.H, state.T)
-    state.dec = ntm.unpack_decoder(dec_flat, state.V, state.T)
+    state.enc.subtract_flat(config.learning_rate * decision.direction)
+    state.dec.subtract_flat(config.learning_rate * elbo.g_dec)
 
     return {
         "step": step,
@@ -215,6 +201,22 @@ def write_train_log(records: list[dict], path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _params_to_json(params) -> dict:
+    return {f.name: getattr(params, f.name).tolist() for f in fields(params)}
+
+
+def _params_from_json(cls, obj: dict, shapes, path: str):
+    """Build cls from its JSON arrays, each checked against the header's shape."""
+    arrays = []
+    for f, shape in zip(fields(cls), shapes):
+        a = np.array(obj[f.name], dtype=np.float64)
+        if a.shape != shape:
+            raise DataError(f"checkpoint {path}: {f.name} has shape {a.shape}, "
+                            f"expected {shape} from the header's V, H and T")
+        arrays.append(a)
+    return cls(*arrays)
+
+
 def save_checkpoint(state: ModelState, path: str) -> None:
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -222,14 +224,8 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         "H": state.H,
         "T": state.T,
         "vocab_hash": state.vocab_hash,
-        "encoder": {
-            "W1": state.enc.W1.tolist(), "b1": state.enc.b1.tolist(),
-            "W_mu": state.enc.W_mu.tolist(), "b_mu": state.enc.b_mu.tolist(),
-            "W_lv": state.enc.W_lv.tolist(), "b_lv": state.enc.b_lv.tolist(),
-        },
-        "decoder": {
-            "beta": state.dec.beta.tolist(), "b_dec": state.dec.b_dec.tolist(),
-        },
+        "encoder": _params_to_json(state.enc),
+        "decoder": _params_to_json(state.dec),
         "rng_state": state.rng.bit_generator.state,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -248,21 +244,16 @@ def load_checkpoint(path: str, expect_vocab_hash: str | None = None) -> ModelSta
     if expect_vocab_hash is not None and doc["vocab_hash"] != expect_vocab_hash:
         raise DataError(f"checkpoint {path}: vocabulary hash mismatch")
     try:
-        enc = ntm.EncoderParams(
-            W1=np.array(doc["encoder"]["W1"], dtype=np.float64),
-            b1=np.array(doc["encoder"]["b1"], dtype=np.float64),
-            W_mu=np.array(doc["encoder"]["W_mu"], dtype=np.float64),
-            b_mu=np.array(doc["encoder"]["b_mu"], dtype=np.float64),
-            W_lv=np.array(doc["encoder"]["W_lv"], dtype=np.float64),
-            b_lv=np.array(doc["encoder"]["b_lv"], dtype=np.float64))
-        dec = ntm.DecoderParams(
-            beta=np.array(doc["decoder"]["beta"], dtype=np.float64),
-            b_dec=np.array(doc["decoder"]["b_dec"], dtype=np.float64))
+        V, H, T = int(doc["V"]), int(doc["H"]), int(doc["T"])
+        enc = _params_from_json(ntm.EncoderParams, doc["encoder"],
+                                ntm.encoder_shapes(V, H, T), path)
+        dec = _params_from_json(ntm.DecoderParams, doc["decoder"],
+                                ntm.decoder_shapes(V, T), path)
         rng_state = doc["rng_state"]
         bitgen = getattr(np.random, rng_state["bit_generator"])()
         bitgen.state = rng_state
         rng = np.random.Generator(bitgen)
-        return ModelState(enc=enc, dec=dec, V=int(doc["V"]), H=int(doc["H"]),
-                          T=int(doc["T"]), vocab_hash=doc["vocab_hash"], rng=rng)
+        return ModelState(enc=enc, dec=dec, V=V, H=H, T=T,
+                          vocab_hash=doc["vocab_hash"], rng=rng)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"checkpoint {path} is malformed: {exc}") from exc

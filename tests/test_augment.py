@@ -1,15 +1,18 @@
+import itertools
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 import requests
 
+import oracles
 from paretopic import augment
 from paretopic.augment import (AugmentedTriple, LlmAugmentError, TfidfAugmenter,
                                bow_to_text, build_augmentation_cache,
                                cache_augmentations, dropout_augment,
                                llm_augment, load_augmentations)
-from paretopic.corpus import BowDocument, build_vocabulary, make_corpus
+from paretopic.corpus import BowDocument, Vocabulary, build_vocabulary, make_corpus
 from paretopic.errors import DataError
 
 
@@ -155,6 +158,26 @@ class TestTfidfAugmenter:
         with pytest.raises(ValueError):
             TfidfAugmenter(corpus).augment(corpus.documents[0], "related",
                                            replace_frac=1.5)
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(0)
+        words = [f"w{i:03d}" for i in range(120)]
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 60))))
+                 for _ in range(30)]
+        wide = make_corpus([(t, None) for t in texts], Vocabulary(words=words, df=[1] * 120))
+        # 4 words, a document with 3 of them: once the one fresh word is
+        # taken, further victims keep their own slot
+        small = make_corpus([("aa bb bb cc cc cc", None), ("aa dd", None)],
+                            Vocabulary(words=["aa", "bb", "cc", "dd"], df=[1] * 4))
+        for corpus in (wide, small):
+            aug = TfidfAugmenter(corpus)
+            docs = [d for d in corpus.documents if not d.is_empty]
+            docs.append(BowDocument(counts={0: 3}))  # the nnz == 1 branch
+            for seed, doc, polarity, frac in itertools.product(
+                    range(6), docs, ("related", "unrelated"), (0.3, 0.9)):
+                got = aug.augment(doc, polarity, frac, rng_seed=seed)
+                want = oracles.tfidf_augment(aug, doc, polarity, frac, seed)
+                assert list(got.counts.items()) == list(want.counts.items())
 
 
 class TestDropoutAugment:

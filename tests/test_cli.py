@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from paretopic import cli
+from paretopic import cli, trainer
+from paretopic.corpus import Vocabulary
 from paretopic.errors import ConfigError
 
 
@@ -42,6 +43,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="bad value"):
             cli.parse_config_file(str(path))
 
+    def test_boolean_spellings(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                            ("0", False), ("false", False), ("NO", False)):
+            path.write_text(f"setcl.include_own_negative = {text}\n")
+            assert cli.parse_config_file(str(path)) == {"include_own_negative": value}
+        for text in ("ture", "on", "2", ""):
+            path.write_text(f"setcl.include_own_negative = {text}\n")
+            with pytest.raises(ConfigError, match="bad value"):
+                cli.parse_config_file(str(path))
+
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("model.T 3\n")
@@ -67,6 +79,39 @@ class TestExitCodes:
                          "--checkpoint", "ck.json", "--seed", "1",
                          "--set", "setcl.K=500", "--set", "train.batch_size=6"])
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("via", ["set", "config"])
+    def test_bad_boolean_is_usage_error(self, workdir, capsys, via):
+        args = ["train", "--input", str(workdir / "corpus.jsonl"), "--vocab", "v.json",
+                "--cache", "c.jsonl", "--checkpoint", "ck.json", "--seed", "1"]
+        if via == "set":
+            args += ["--set", "setcl.include_own_negative=ture"]
+        else:
+            (workdir / "c.cfg").write_text("setcl.include_own_negative = ture\n")
+            args += ["--config", str(workdir / "c.cfg")]
+        assert cli.main(args) == cli.EXIT_USAGE
+        assert "bad value for setcl.include_own_negative" in capsys.readouterr().err
+
+    def test_inconsistent_checkpoint_is_data_error(self, workdir, capsys):
+        corpus = str(workdir / "corpus.jsonl")
+        vocab_path = str(workdir / "vocab.json")
+        ckpt = workdir / "model.json"
+        assert cli.main(["build-vocab", "--input", corpus, "--output", vocab_path,
+                         "--min-df", "1", "--max-df-frac", "1.0"]) == 0
+        vocab = Vocabulary.load(vocab_path)
+        cfg = trainer.TrainConfig(seed=0, num_topics=3, hidden=8)
+        trainer.save_checkpoint(trainer.init_state(vocab.size, cfg, vocab.content_hash()),
+                                str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        doc["encoder"]["W_mu"] = [row + [0.0] for row in doc["encoder"]["W_mu"]]
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["classify", "--input", corpus, "--vocab", vocab_path,
+                         "--checkpoint", str(ckpt),
+                         "--output", str(workdir / "f.csv")]) == cli.EXIT_DATA
+        assert cli.main(["probe", "--checkpoint", str(ckpt), "--vocab", vocab_path,
+                         "--text-a", "apple", "--text-b", "orbit"]) == cli.EXIT_DATA
+        assert "W_mu has shape (8, 4), expected (8, 3)" in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code = cli.main(["build-vocab", "--input", str(tmp_path / "nope.jsonl"),

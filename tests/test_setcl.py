@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import SetRepresentation, set_representations, setwise_infonce
 from paretopic import setcl
 from paretopic.errors import NumericError
 
@@ -43,13 +44,13 @@ class TestBuildSets:
     def test_tail_dropped(self):
         M = np.array([[0, 1, 2, 3, 4]])
         sets = setcl.build_sets(M, 2)
-        assert [s.member_indices for s in sets] == [[0, 1], [2, 3]]
+        assert sets.tolist() == [[0, 1], [2, 3]]
 
     def test_k1_singletons(self):
         M = setcl.build_index_matrix(3, 2, rng_seed=0)
         sets = setcl.build_sets(M, 1)
         assert len(sets) == 6
-        assert all(len(s.member_indices) == 1 for s in sets)
+        assert sets.shape == (6, 1)
 
     def test_k_exceeds_b(self):
         with pytest.raises(ValueError):
@@ -57,16 +58,21 @@ class TestBuildSets:
 
     def test_sets_stay_within_rows(self):
         M = setcl.build_index_matrix(8, 3, rng_seed=2)
-        for s in setcl.build_sets(M, 4):
-            row = M[s.shuffle_row].tolist()
-            assert all(i in row for i in s.member_indices)
+        for n, members in enumerate(setcl.build_sets(M, 4)):  # 8 // 4 sets per row
+            assert set(members.tolist()) <= set(M[n // 2].tolist())
+
+    def test_row_order_matches_per_row_blocks(self):
+        M = setcl.build_index_matrix(11, 3, rng_seed=5)
+        expect = [M[s, j * 3:(j + 1) * 3].tolist() for s in range(3) for j in range(11 // 3)]
+        sets = setcl.build_sets(M, 3)
+        assert sets.tolist() == expect
+        assert setcl.members_matrix(sets).dtype == np.int64
 
 
 class TestSetRepresentations:
     def test_pooling_defaults(self):
         Z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        ds = setcl.DocumentSet(member_indices=[0, 1], shuffle_row=0, set_column=0)
-        rep = setcl.set_representations(ds, Z, Z + 1, Z - 2)
+        rep = set_representations([0, 1], Z, Z + 1, Z - 2)
         np.testing.assert_allclose(rep.s_phi_minus, [1.0, 1.0])
         np.testing.assert_allclose(rep.s_phi_plus, [0.0, 0.0])
         np.testing.assert_allclose(rep.s_plus, [1.0, 1.0])
@@ -75,30 +81,25 @@ class TestSetRepresentations:
     def test_singleton_equals_member(self):
         rng = np.random.default_rng(0)
         Z, Zp, Zm = (rng.standard_normal((3, 4)) for _ in range(3))
-        ds = setcl.DocumentSet(member_indices=[2], shuffle_row=0, set_column=2)
-        rep = setcl.set_representations(ds, Z, Zp, Zm, "mean", "sum")
+        rep = set_representations([2], Z, Zp, Zm, "mean", "sum")
         np.testing.assert_allclose(rep.s_phi_plus, Z[2])
         np.testing.assert_allclose(rep.s_minus, Zm[2])
 
     def test_missing_member_vector(self):
-        ds = setcl.DocumentSet(member_indices=[5], shuffle_row=0, set_column=0)
         with pytest.raises(ValueError):
-            setcl.set_representations(ds, np.ones((2, 2)), np.ones((2, 2)),
-                                      np.ones((2, 2)))
+            set_representations([5], np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
 
 
 def reps_from_views(Z, Zp, Zm, members, **kw):
-    sets = [setcl.DocumentSet(member_indices=m.tolist(), shuffle_row=0, set_column=i)
-            for i, m in enumerate(members)]
-    return [setcl.set_representations(s, Z, Zp, Zm, **kw) for s in sets]
+    return [set_representations(m, Z, Zp, Zm, **kw) for m in members]
 
 
 class TestSetwiseInfonce:
     def test_single_set_zero(self):
-        rep = setcl.SetRepresentation(
+        rep = SetRepresentation(
             s_phi_minus=np.array([1.0, 0.0]), s_phi_plus=np.array([0.5, 0.5]),
             s_minus=np.array([0.0, 1.0]), s_plus=np.array([0.5, 0.5]))
-        assert setcl.setwise_infonce([rep], tau=0.2) == pytest.approx(0.0)
+        assert setwise_infonce([rep], tau=0.2) == pytest.approx(0.0)
 
     def test_two_set_closed_form(self):
         # f_pos = 5 for both sets, cross-set f_neg = 0:
@@ -106,13 +107,11 @@ class TestSetwiseInfonce:
         tau = 0.2
         e1, e2, e3, e4 = np.eye(4)
         reps = [
-            setcl.SetRepresentation(s_phi_minus=e1, s_phi_plus=e1,
-                                    s_minus=e3, s_plus=e1),
-            setcl.SetRepresentation(s_phi_minus=e2, s_phi_plus=e2,
-                                    s_minus=e4, s_plus=e2),
+            SetRepresentation(s_phi_minus=e1, s_phi_plus=e1, s_minus=e3, s_plus=e1),
+            SetRepresentation(s_phi_minus=e2, s_phi_plus=e2, s_minus=e4, s_plus=e2),
         ]
         expect = 2 * math.log(1 + math.exp(-5.0))
-        assert setcl.setwise_infonce(reps, tau) == pytest.approx(expect, rel=1e-12)
+        assert setwise_infonce(reps, tau) == pytest.approx(expect, rel=1e-12)
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(4)
@@ -123,11 +122,11 @@ class TestSetwiseInfonce:
         assert loss >= 0.0
 
     def test_zero_norm_pooled_vector_raises(self):
-        reps = [setcl.SetRepresentation(
+        reps = [SetRepresentation(
             s_phi_minus=np.zeros(2), s_phi_plus=np.ones(2),
             s_minus=np.ones(2), s_plus=np.ones(2))] * 2
         with pytest.raises(NumericError):
-            setcl.setwise_infonce(reps, tau=0.2)
+            setwise_infonce(reps, tau=0.2)
 
     def test_monotone_in_positive_similarity(self):
         rng = np.random.default_rng(5)
@@ -135,10 +134,10 @@ class TestSetwiseInfonce:
         members = setcl.members_matrix(
             setcl.build_sets(setcl.build_index_matrix(8, 1, rng_seed=0), 2))
         reps = reps_from_views(Z, Zp, Zm, members)
-        base = setcl.setwise_infonce(reps, tau=0.2)
+        base = setwise_infonce(reps, tau=0.2)
         # raising one set's positive cosine toward its anchor lowers the loss
         reps[0].s_plus = reps[0].s_phi_plus.copy()
-        assert setcl.setwise_infonce(reps, tau=0.2) < base
+        assert setwise_infonce(reps, tau=0.2) < base
 
     def test_monotone_in_negative_similarity(self):
         rng = np.random.default_rng(6)
@@ -146,10 +145,10 @@ class TestSetwiseInfonce:
         members = setcl.members_matrix(
             setcl.build_sets(setcl.build_index_matrix(8, 1, rng_seed=0), 2))
         reps = reps_from_views(Z, Zp, Zm, members)
-        base = setcl.setwise_infonce(reps, tau=0.2)
+        base = setwise_infonce(reps, tau=0.2)
         # aligning another set's negative view with set 0's anchor raises it
         reps[1].s_minus = reps[0].s_phi_minus.copy()
-        assert setcl.setwise_infonce(reps, tau=0.2) > base
+        assert setwise_infonce(reps, tau=0.2) > base
 
     def test_own_negative_excluded_by_default(self):
         rng = np.random.default_rng(7)
@@ -157,8 +156,8 @@ class TestSetwiseInfonce:
         members = setcl.members_matrix(
             setcl.build_sets(setcl.build_index_matrix(4, 1, rng_seed=0), 2))
         reps = reps_from_views(Z, Zp, Zm, members)
-        excl = setcl.setwise_infonce(reps, tau=0.2, include_own_negative=False)
-        incl = setcl.setwise_infonce(reps, tau=0.2, include_own_negative=True)
+        excl = setwise_infonce(reps, tau=0.2, include_own_negative=False)
+        incl = setwise_infonce(reps, tau=0.2, include_own_negative=True)
         assert incl > excl  # extra denominator term can only raise the loss
 
 
@@ -220,5 +219,5 @@ class TestGradients:
         members = setcl.members_matrix(
             setcl.build_sets(setcl.build_index_matrix(8, 2, rng_seed=1), 2))
         loss_fast, *_ = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.3)
-        loss_ref = setcl.setwise_infonce(reps_from_views(Z, Zp, Zm, members), tau=0.3)
+        loss_ref = setwise_infonce(reps_from_views(Z, Zp, Zm, members), tau=0.3)
         assert loss_fast == pytest.approx(loss_ref, rel=1e-12)

@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 
 import numpy as np
@@ -205,6 +206,17 @@ class TestCheckpoints:
         trainer.save_checkpoint(state, str(path))
         with pytest.raises(DataError, match="hash"):
             trainer.load_checkpoint(str(path), expect_vocab_hash="nope")
+
+    def test_array_shape_must_match_header(self, tiny_texts, tmp_path):
+        corpus, triples, cfg = tiny_setup(tiny_texts, epochs=0)
+        state, _ = trainer.fit(corpus, triples, cfg)
+        path = tmp_path / "c.json"
+        trainer.save_checkpoint(state, str(path))
+        doc = json.loads(path.read_text())
+        doc["encoder"]["W_mu"] = np.zeros((cfg.hidden, cfg.num_topics + 1)).tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="W_mu has shape"):
+            trainer.load_checkpoint(str(path))
 
     def test_unsupported_format_version(self, tmp_path):
         path = tmp_path / "bad.json"
