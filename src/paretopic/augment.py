@@ -183,6 +183,7 @@ def cache_augmentations(triples: list[AugmentedTriple], path: str) -> None:
 
 def load_augmentations(path: str, corpus_size: int) -> list[AugmentedTriple]:
     triples = []
+    line_of: dict[int, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -200,6 +201,11 @@ def load_augmentations(path: str, corpus_size: int) -> list[AugmentedTriple]:
             raise DataError(
                 f"{path}:{lineno}: anchor_id {triple.anchor_id} out of range "
                 f"for corpus of size {corpus_size}")
+        if triple.anchor_id in line_of:
+            raise DataError(
+                f"{path}:{lineno}: duplicate anchor_id {triple.anchor_id}, "
+                f"first seen on line {line_of[triple.anchor_id]}")
+        line_of[triple.anchor_id] = lineno
         triples.append(triple)
     return triples
 
@@ -211,8 +217,8 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
                              llm_options: dict | None = None) -> list[AugmentedTriple]:
     """Produce one (positive, negative) pair of texts per nonempty document.
 
-    Any augmentation that would vectorize to an empty document is regenerated
-    with the dropout fallback (positives) or random replacement (negatives).
+    Any augmentation that is, or would vectorize to, an empty document is
+    regenerated with the dropout fallback.
     """
     from .corpus import vectorize
 
@@ -227,24 +233,25 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
             opts = llm_options or {}
             text = doc.raw_text or bow_to_text(doc, vocab)
             try:
-                pos = llm_augment(text, "related", doc_id=i, **opts)
-                neg = llm_augment(text, "unrelated", doc_id=i, **opts)
+                texts = [llm_augment(text, "related", doc_id=i, **opts),
+                         llm_augment(text, "unrelated", doc_id=i, **opts)]
             except LlmAugmentError:
                 log.warning("doc %d: LLM augmentation failed, falling back to tfidf", i)
                 used = "tfidf"
+            else:
+                # free text: only its in-vocabulary tokens reach training
+                views = [None if vectorize(t, vocab).is_empty else t for t in texts]
         if used == "tfidf":
-            pos = bow_to_text(tfidf.augment(doc, "related", replace_frac, rng_seed + 2 * i), vocab)
-            neg = bow_to_text(tfidf.augment(doc, "unrelated", replace_frac, rng_seed + 2 * i + 1), vocab)
+            views = [tfidf.augment(doc, "related", replace_frac, rng_seed + 2 * i),
+                     tfidf.augment(doc, "unrelated", replace_frac, rng_seed + 2 * i + 1)]
         elif used == "dropout":
-            pos = bow_to_text(dropout_augment(doc, drop_frac, rng_seed + 2 * i), vocab)
-            neg = bow_to_text(tfidf_negative_fallback(corpus, doc, rng_seed + 2 * i + 1), vocab)
-        # never let an augmentation vectorize to an empty document
-        if vectorize(pos, vocab).is_empty:
-            pos = bow_to_text(dropout_augment(doc, drop_frac, rng_seed + 2 * i), vocab)
-            used = "dropout"
-        if vectorize(neg, vocab).is_empty:
-            neg = bow_to_text(dropout_augment(doc, drop_frac, rng_seed + 2 * i + 1), vocab)
-            used = "dropout"
+            views = [dropout_augment(doc, drop_frac, rng_seed + 2 * i),
+                     tfidf_negative_fallback(corpus, doc, rng_seed + 2 * i + 1)]
+        for k, view in enumerate(views):
+            if view is None or isinstance(view, BowDocument) and view.is_empty:
+                views[k] = dropout_augment(doc, drop_frac, rng_seed + 2 * i + k)
+                used = "dropout"
+        pos, neg = (v if isinstance(v, str) else bow_to_text(v, vocab) for v in views)
         triples.append(AugmentedTriple(anchor_id=i, positive_text=pos,
                                        negative_text=neg, method=used))
     return triples

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -27,22 +28,34 @@ class CooccurrenceStats:
     pair_doc_freq: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @classmethod
-    def from_corpus(cls, corpus: Corpus) -> "CooccurrenceStats":
-        word_df: dict[int, int] = {}
-        pair_df: dict[tuple[int, int], int] = {}
-        D = 0
-        for doc in corpus.documents:
-            if doc.is_empty:
-                continue
-            D += 1
-            words = sorted(doc.counts)
-            for w in words:
-                word_df[w] = word_df.get(w, 0) + 1
-            for a, b in combinations(words, 2):
-                pair_df[(a, b)] = pair_df.get((a, b), 0) + 1
-        if D == 0:
+    def from_corpus(cls, corpus: Corpus,
+                    words: Iterable[int] | None = None) -> "CooccurrenceStats":
+        """Document frequency of every word, and of every pair (a, b), a < b,
+        of the given words (all words when None) that share a document.
+
+        Pair counts are the upper triangle of BᵀB, B the binary document ×
+        word matrix over those words' columns. Its entries are 0/1, so the
+        float64 sums are exact integers whatever the summation order.
+        """
+        docs = [doc.counts for doc in corpus.documents if not doc.is_empty]
+        if not docs:
             raise DataError("reference corpus has no nonempty documents")
-        return cls(doc_count=D, word_doc_freq=word_df, pair_doc_freq=pair_df)
+        lengths = [len(counts) for counts in docs]
+        cols = np.fromiter(chain.from_iterable(docs), dtype=np.int64, count=sum(lengths))
+        rows = np.repeat(np.arange(len(docs)), lengths)
+        df = np.bincount(cols)
+        present = np.flatnonzero(df)
+        keep = present if words is None else np.intersect1d(
+            present, np.fromiter(words, dtype=np.int64))
+        occurs = np.zeros((len(docs), len(df)), dtype=bool)
+        occurs[rows, cols] = True
+        B = occurs[:, keep].astype(np.float64)
+        co = np.triu(B.T @ B, 1).astype(np.int64)
+        a, b = np.nonzero(co)
+        pairs = zip(keep[a].tolist(), keep[b].tolist())
+        return cls(doc_count=len(docs),
+                   word_doc_freq=dict(zip(present.tolist(), df[present].tolist())),
+                   pair_doc_freq=dict(zip(pairs, co[a, b].tolist())))
 
     def p_word(self, w: int) -> float:
         return self.word_doc_freq.get(w, 0) / self.doc_count

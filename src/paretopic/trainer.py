@@ -228,8 +228,16 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         "decoder": _params_to_json(state.dec),
         "rng_state": state.rng.bit_generator.state,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    # Written beside the target and renamed over it, so an interrupted write
+    # leaves the previous checkpoint, not a truncated one.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str, expect_vocab_hash: str | None = None) -> ModelState:

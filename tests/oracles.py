@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from paretopic import diffnet, setcl
-from paretopic.corpus import BowDocument
-from paretopic.errors import NumericError
+from paretopic.corpus import BowDocument, Corpus
+from paretopic.errors import DataError, NumericError
 
 Array = np.ndarray
 
@@ -162,3 +163,23 @@ def tfidf_augment(aug, doc: BowDocument, polarity: str, replace_frac: float,
             repl = victim
         new_counts[repl] = new_counts.get(repl, 0) + doc.counts[victim]
     return BowDocument(counts=new_counts, label=doc.label)
+
+
+def cooccurrence_counts(corpus: Corpus) -> tuple[int, dict[int, int], dict[tuple[int, int], int]]:
+    """``CooccurrenceStats.from_corpus`` as the original loop over every word
+    pair of every document: (doc_count, word_doc_freq, pair_doc_freq)."""
+    word_df: dict[int, int] = {}
+    pair_df: dict[tuple[int, int], int] = {}
+    D = 0
+    for doc in corpus.documents:
+        if doc.is_empty:
+            continue
+        D += 1
+        words = sorted(doc.counts)
+        for w in words:
+            word_df[w] = word_df.get(w, 0) + 1
+        for a, b in combinations(words, 2):
+            pair_df[(a, b)] = pair_df.get((a, b), 0) + 1
+    if D == 0:
+        raise DataError("reference corpus has no nonempty documents")
+    return D, word_df, pair_df

@@ -222,6 +222,15 @@ class TestCacheIo:
         with pytest.raises(DataError, match="out of range"):
             load_augmentations(str(path), corpus_size=2)
 
+    def test_duplicate_anchor_names_both_lines(self, tmp_path):
+        path = tmp_path / "aug.jsonl"
+        recs = [{"anchor_id": a, "positive_text": f"p{n}", "negative_text": "b",
+                 "method": "tfidf"} for n, a in enumerate([0, 1, 0])]
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(DataError, match=rf"aug.jsonl:3: duplicate anchor_id 0, "
+                                            rf"first seen on line 1"):
+            load_augmentations(str(path), corpus_size=2)
+
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "aug.jsonl"
         path.write_text("{broken\n")
@@ -255,6 +264,13 @@ class TestBuildCache:
                 corpus, method="llm", llm_options={"endpoint": "http://x"})
         assert all(t.method == "llm" for t in triples)
         assert triples[0].positive_text == "apple banana"
+
+    def test_empty_tfidf_view_regenerated_by_dropout(self, corpus):
+        with mock.patch.object(TfidfAugmenter, "augment",
+                               return_value=BowDocument(counts={})):
+            triples = build_augmentation_cache(corpus, method="tfidf", rng_seed=0)
+        assert all(t.method == "dropout" for t in triples)
+        assert all(t.positive_text and t.negative_text for t in triples)
 
     def test_oov_llm_output_regenerated_by_dropout(self, corpus):
         # completions full of OOV words would vectorize empty; the cache

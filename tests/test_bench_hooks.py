@@ -18,9 +18,10 @@ SCRIPT = textwrap.dedent("""
     import numpy as np
     import paretopic.cli
     import checks, inputs, tracing
-    from paretopic import augment, corpus, trainer
+    from paretopic import augment, corpus, evaluate, trainer
 
-    tracing.Tracer().install()  # resolves every TARGETS entry
+    tracer = tracing.Tracer()
+    tracer.install()  # resolves every TARGETS entry
     assert hasattr(trainer.train_step, "__wrapped__")
 
     rng = np.random.default_rng(0)
@@ -45,6 +46,12 @@ SCRIPT = textwrap.dedent("""
     elbo_err, inf_err = checks.encoder_gradient_errors(
         state, [data.Xc, data.Xp, data.Xm], np.random.default_rng(1))
     assert max(elbo_err) < 1e-4 and max(inf_err) < 1e-4, (elbo_err, inf_err)
+
+    tracer.active = True
+    stats = evaluate.CooccurrenceStats.from_corpus(docs)
+    tracer.active = False
+    spans = [s for s in tracer.spans if s[0] == "evaluate.cooccurrence"]
+    assert len(spans) == 1 and spans[0][5] == len(stats.pair_doc_freq) > 0, spans
     print("ok")
 """)
 

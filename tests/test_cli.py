@@ -113,6 +113,22 @@ class TestExitCodes:
                          "--text-a", "apple", "--text-b", "orbit"]) == cli.EXIT_DATA
         assert "W_mu has shape (8, 4), expected (8, 3)" in capsys.readouterr().err
 
+    def test_duplicate_anchor_in_cache_is_data_error(self, workdir, capsys):
+        corpus = str(workdir / "corpus.jsonl")
+        vocab, cache = str(workdir / "vocab.json"), workdir / "aug.jsonl"
+        assert cli.main(["build-vocab", "--input", corpus, "--output", vocab,
+                         "--min-df", "1", "--max-df-frac", "1.0"]) == 0
+        assert cli.main(["augment", "--input", corpus, "--vocab", vocab,
+                         "--output", str(cache), "--mode", "tfidf", "--seed", "0"]) == 0
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("".join(lines + lines[:1]))
+        capsys.readouterr()
+        assert cli.main(["train", "--input", corpus, "--vocab", vocab,
+                         "--cache", str(cache), "--checkpoint", str(workdir / "ck.json"),
+                         "--seed", "1"]) == cli.EXIT_DATA
+        assert f"aug.jsonl:{len(lines) + 1}: duplicate anchor_id" in capsys.readouterr().err
+        assert not (workdir / "ck.json").exists()
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code = cli.main(["build-vocab", "--input", str(tmp_path / "nope.jsonl"),
                          "--output", str(tmp_path / "v.json")])

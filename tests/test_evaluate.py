@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from paretopic import evaluate, ntm
 from paretopic.corpus import BowDocument, Corpus, Vocabulary
 from paretopic.errors import DataError
@@ -36,6 +37,33 @@ class TestCooccurrenceStats:
         corpus = corpus_from_count_rows([[0, 0]], 2)
         with pytest.raises(DataError):
             evaluate.CooccurrenceStats.from_corpus(corpus)
+        with pytest.raises(DataError):
+            evaluate.CooccurrenceStats.from_corpus(corpus, words=[0, 1])
+
+    def test_matches_pair_loop_oracle_on_word_subsets(self):
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            V = int(rng.integers(2, 25))
+            D = int(rng.integers(1, 30))
+            rows = rng.integers(0, 4, (D, V)) * (rng.random((D, V)) < rng.random())
+            rows[0, rng.integers(V)] = 1  # at least one nonempty document
+            corpus = corpus_from_count_rows(rows.tolist(), V)
+            D_ref, word_df, pair_df = oracles.cooccurrence_counts(corpus)
+            full = evaluate.CooccurrenceStats.from_corpus(corpus)
+            assert (full.doc_count, full.word_doc_freq, full.pair_doc_freq) == (
+                D_ref, word_df, pair_df)
+            # subsets may name words absent from the corpus, and ids past V
+            words = rng.choice(V + 3, size=int(rng.integers(0, V + 4)), replace=False)
+            inside = set(words.tolist())
+            stats = evaluate.CooccurrenceStats.from_corpus(corpus, words=words.tolist())
+            assert stats.doc_count == D_ref
+            assert stats.word_doc_freq == word_df
+            assert stats.pair_doc_freq == {
+                (a, b): n for (a, b), n in pair_df.items() if a in inside and b in inside}
+            if len(words) >= 2:
+                topics = [rng.choice(words, size=int(rng.integers(2, len(words) + 1)),
+                                     replace=False).tolist() for _ in range(3)]
+                assert evaluate.npmi(topics, stats) == evaluate.npmi(topics, full)
 
 
 class TestNpmi:
