@@ -35,6 +35,10 @@ class AugmentedTriple:
     method: str  # llm | tfidf | dropout
 
     def __post_init__(self):
+        if type(self.anchor_id) is not int:
+            raise DataError(f"augmented triple: anchor_id {self.anchor_id!r} is not an integer")
+        if not (isinstance(self.positive_text, str) and isinstance(self.negative_text, str)):
+            raise DataError(f"augmented triple {self.anchor_id}: augmentation is not a string")
         if not self.positive_text or not self.negative_text:
             raise DataError(f"augmented triple {self.anchor_id}: empty augmentation text")
 
@@ -195,7 +199,7 @@ def load_augmentations(path: str, corpus_size: int) -> list[AugmentedTriple]:
         try:
             obj = json.loads(line)
             triple = AugmentedTriple(**obj)
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (json.JSONDecodeError, TypeError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: malformed augmentation record: {exc}") from exc
         if not (0 <= triple.anchor_id < corpus_size):
             raise DataError(

@@ -56,9 +56,12 @@ class Vocabulary:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read vocabulary file {path}: {exc}") from exc
-        if "words" not in obj or "df" not in obj:
-            raise DataError(f"vocabulary file {path} missing 'words'/'df' fields")
-        return cls(words=list(obj["words"]), df=list(obj["df"]))
+        words, df = (obj.get("words"), obj.get("df")) if isinstance(obj, dict) else (None, None)
+        if not (isinstance(words, list) and isinstance(df, list) and len(words) == len(df)
+                and all(isinstance(w, str) for w in words) and all(type(c) is int for c in df)):
+            raise DataError(f"vocabulary file {path} needs 'words' and 'df': lists of "
+                            "strings and integers of the same length")
+        return cls(words=words, df=df)
 
 
 @dataclass
@@ -133,7 +136,7 @@ def vectorize(text: str, vocab: Vocabulary, label: object = None) -> BowDocument
 def load_corpus(path: str, max_malformed_frac: float = 0.01) -> list[tuple[str, object]]:
     """Read a JSONL corpus of {"text": ..., "label": optional}.
 
-    Malformed lines are collected and reported with their line numbers;
+    Malformed lines (bad JSON, no string "text") are reported by line number;
     the whole load fails if more than max_malformed_frac of lines are bad.
     """
     try:
@@ -151,7 +154,7 @@ def load_corpus(path: str, max_malformed_frac: float = 0.01) -> list[tuple[str, 
         except json.JSONDecodeError:
             malformed.append(lineno)
             continue
-        if not isinstance(obj, dict) or "text" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
             malformed.append(lineno)
             continue
         entries.append((obj["text"], obj.get("label")))

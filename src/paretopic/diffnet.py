@@ -29,12 +29,10 @@ def affine(x: Array, W: Array, b: Array) -> Array:
 
 
 def sigmoid(x: Array) -> Array:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x), from e = exp(-|x|) <= 1 so neither branch overflows."""
+    x = _as_f64(x)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(x: Array) -> Array:

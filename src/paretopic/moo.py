@@ -50,18 +50,22 @@ def _norm(a: Array) -> float:
     return float(np.sqrt(_dot(a, a)))
 
 
+def _min_norm(g1: Array, g2: Array, tie_eps: float) -> tuple[float, float]:
+    """alpha_min_norm's weight and its denominator ||g1 - g2||^2."""
+    diff = g1 - g2
+    denom = _dot(diff, diff)
+    if denom < tie_eps:
+        return 0.5, denom
+    return float(np.clip(-_dot(diff, g2) / denom, 0.0, 1.0)), denom
+
+
 def alpha_min_norm(g1: Array, g2: Array, tie_eps: float = DEFAULT_TIE_EPS) -> float:
     """Exact minimizer of ||a g1 + (1-a) g2||^2 over a in [0, 1].
 
     a* = clip((g2 - g1) . g2 / ||g1 - g2||^2, 0, 1); near-identical gradients
     (||g1 - g2||^2 < tie_eps) return 0.5, where any a gives the same direction.
     """
-    g1, g2 = _check_pair(g1, g2)
-    diff = g1 - g2
-    denom = _dot(diff, diff)
-    if denom < tie_eps:
-        return 0.5
-    return float(np.clip(-_dot(diff, g2) / denom, 0.0, 1.0))
+    return _min_norm(*_check_pair(g1, g2), tie_eps)[0]
 
 
 def alpha_grid_oracle(g1: Array, g2: Array, steps: int = 10_000) -> float:
@@ -99,45 +103,36 @@ def _pcgrad_direction(g1: Array, g2: Array) -> Array:
     return p1 + p2
 
 
-def _loss_plus_alpha(g1: Array, g2: Array, losses: tuple[float, float] | None,
-                     tie_eps: float) -> tuple[float, Array, Array]:
-    """Blend weight on the raw pair from the min-norm solve on the loss+ pair.
-
-    With c_i = L_i * ||g_i||, the solver sees g_i / c_i and returns a; its
-    min-norm point a g1/c1 + (1-a) g2/c2 is a positive multiple of
-    beta g1 + (1-beta) g2 with beta = (a/c1) / (a/c1 + (1-a)/c2). Returns
-    beta and the pair the solver saw. If no losses are given or either c_i
-    is not positive (a zero loss or gradient) the solve runs on the raw pair
-    and beta = a.
-    """
-    if losses is not None:
-        c1 = float(losses[0]) * _norm(g1)
-        c2 = float(losses[1]) * _norm(g2)
-        if c1 > 0.0 and c2 > 0.0:
-            h1, h2 = g1 / c1, g2 / c2
-            a = alpha_min_norm(h1, h2, tie_eps)
-            w1, w2 = a / c1, (1.0 - a) / c2
-            return w1 / (w1 + w2), h1, h2
-    return alpha_min_norm(g1, g2, tie_eps), g1, g2
-
-
 def strategy_dispatch(name: str, g1: Array, g2: Array, params: dict | None = None,
                       rng: np.random.Generator | None = None,
                       losses: tuple[float, float] | None = None) -> BlendDecision:
     """Pick a blend direction for (g1, g2) = (contrastive, ELBO) gradients.
 
-    ``mgda`` needs the two losses for its loss+ scaling: the returned alpha
-    is the weight on g1 of the rescaled min-norm point, and the direction is
-    blend(g1, g2, alpha). It falls back to the min-norm solve on the raw
-    pair when ``losses`` is None or a loss or gradient is zero. ``linear``,
-    ``random`` and ``pcgrad`` work on the raw gradients and ignore
-    ``losses``.
+    ``mgda`` needs the two losses for its loss+ scaling. With
+    c_i = L_i * ||g_i||, the solver sees g_i / c_i and returns a; its
+    min-norm point a g1/c1 + (1-a) g2/c2 is a positive multiple of
+    beta g1 + (1-beta) g2 with beta = (a/c1) / (a/c1 + (1-a)/c2). The
+    returned alpha is beta and the direction is blend(g1, g2, beta). If
+    ``losses`` is None or either c_i is not positive (a zero loss or
+    gradient) the solve runs on the raw pair and beta = a. The diagnostics
+    flag a ``degenerate_pair`` when the solved pair is closer than tie_eps.
+    ``linear``, ``random`` and ``pcgrad`` work on the raw gradients and
+    ignore ``losses``.
     """
     g1, g2 = _check_pair(g1, g2)
     params = params or {}
     tie_eps = params.get("tie_eps", DEFAULT_TIE_EPS)
+    n1, n2 = _norm(g1), _norm(g2)
     if name == "mgda":
-        alpha, h1, h2 = _loss_plus_alpha(g1, g2, losses, tie_eps)
+        c1 = c2 = 0.0
+        if losses is not None:
+            c1, c2 = float(losses[0]) * n1, float(losses[1]) * n2
+        if c1 > 0.0 and c2 > 0.0:
+            a, denom = _min_norm(g1 / c1, g2 / c2, tie_eps)
+            w1, w2 = a / c1, (1.0 - a) / c2
+            alpha = w1 / (w1 + w2)
+        else:
+            alpha, denom = _min_norm(g1, g2, tie_eps)
         direction = blend(g1, g2, alpha)
     elif name == "linear":
         alpha = float(params.get("linear_alpha", 0.5))
@@ -153,12 +148,12 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, params: dict | None = Non
     else:
         raise ValueError(f"unknown strategy {name!r}, expected one of {STRATEGIES}")
     diagnostics = {
-        "g1_norm": _norm(g1),
-        "g2_norm": _norm(g2),
+        "g1_norm": n1,
+        "g2_norm": n2,
         "direction_norm": _norm(direction),
         "g1_dot_g2": _dot(g1, g2),
     }
-    if name == "mgda" and _dot(h1 - h2, h1 - h2) < tie_eps:
+    if name == "mgda" and denom < tie_eps:
         diagnostics["degenerate_pair"] = True
     return BlendDecision(alpha=alpha, direction=direction, strategy=name,
                          diagnostics=diagnostics)

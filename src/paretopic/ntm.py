@@ -191,7 +191,8 @@ def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
     logits = diffnet.affine(theta, dec.beta, dec.b_dec)
     lp = diffnet.log_softmax(logits)
     recon = float(-(Xc * lp).sum() / B)
-    kl = float(0.5 * np.sum(mu ** 2 + np.exp(logvar) - logvar - 1.0) / B)
+    var = np.exp(logvar)
+    kl = float(0.5 * np.sum(mu ** 2 + var - logvar - 1.0) / B)
     loss = recon + kl
     if not np.isfinite(loss):
         raise NumericError("elbo_loss is non-finite")
@@ -208,7 +209,7 @@ def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
     dmu, dlogvar = reparameterize_backward(dz, eps, logvar)
     # KL backward
     dmu += mu / B
-    dlogvar += 0.5 * (np.exp(logvar) - 1.0) / B
+    dlogvar += 0.5 * (var - 1.0) / B
     g_enc = encoder_backward(cache, enc, dmu, dlogvar)
     g_dec = pack([dbeta, db_dec])
     return ElboResult(loss=loss, recon=recon, kl=kl, g_enc=g_enc, g_dec=g_dec)

@@ -59,7 +59,6 @@ def _loss_from_pooled(s_phip: Array, s_plus: Array, s_phim: Array, s_min: Array,
     """Loss and, optionally, gradients w.r.t. the pooled vectors."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    N = s_phip.shape[0]
     nu_p = _row_norms(s_phip)
     nv_p = _row_norms(s_plus)
     nu_m = _row_norms(s_phim)
@@ -71,13 +70,11 @@ def _loss_from_pooled(s_phip: Array, s_plus: Array, s_phim: Array, s_min: Array,
     f_pos = (Uh_p * Vh_p).sum(axis=1) / tau                    # [N]
     C_neg = Uh_m @ Vh_m.T                                      # cosines [N,N]
     F_neg = C_neg / tau
-    mask = np.ones((N, N), dtype=bool)
     if not include_own_negative:
-        np.fill_diagonal(mask, False)
-    neg_filled = np.where(mask, F_neg, -np.inf)
-    m = np.maximum(f_pos, neg_filled.max(axis=1, initial=-np.inf))
+        np.fill_diagonal(F_neg, -np.inf)  # exponentiates to exactly 0 below
+    m = np.maximum(f_pos, F_neg.max(axis=1))
     e_pos = np.exp(f_pos - m)
-    E_neg = np.where(mask, np.exp(neg_filled - m[:, None]), 0.0)
+    E_neg = np.exp(F_neg - m[:, None])
     denom = e_pos + E_neg.sum(axis=1)
     loss = float(np.sum(m + np.log(denom) - f_pos))
     if not np.isfinite(loss):
@@ -95,9 +92,8 @@ def _loss_from_pooled(s_phip: Array, s_plus: Array, s_phim: Array, s_min: Array,
     return loss, (d_phip, d_plus, d_phim, d_min)
 
 
-def _pool_members(Zv: Array, members: Array, mode: str):
-    """Pool members [N,K] of view Zv [B,T] -> ([N,T], routing argindices or None)."""
-    A = Zv[members]  # [N,K,T]
+def _pool_members(A: Array, mode: str):
+    """Pool gathered members A [N,K,T] -> ([N,T], routing argindices or None)."""
     if mode in ("min", "max"):
         arg = A.argmin(axis=1) if mode == "min" else A.argmax(axis=1)
         return np.take_along_axis(A, arg[:, None, :], axis=1)[:, 0, :], arg
@@ -112,8 +108,7 @@ def _route_back(dZv: Array, members: Array, arg, dS: Array, mode: str) -> None:
     N, K = members.shape
     T = dS.shape[1]
     if mode in ("min", "max"):
-        rows = np.take_along_axis(members[:, :, None].repeat(T, axis=2),
-                                  arg[:, None, :], axis=1)[:, 0, :]  # [N,T]
+        rows = np.take_along_axis(members, arg, axis=1)  # [N,T] batch rows
         np.add.at(dZv, (rows, np.broadcast_to(np.arange(T), (N, T))), dS)
     elif mode == "mean":
         np.add.at(dZv, members, np.broadcast_to(dS[:, None, :] / K, (N, K, T)))
@@ -131,10 +126,11 @@ def infonce_with_grads(Z: Array, Zp: Array, Zm: Array, members: Array, tau: floa
     Z, Zp, Zm are the [B,T] topic vectors of the anchor, positive, and
     negative views; members is the [N,K] set membership matrix.
     """
-    s_phim, arg_phim = _pool_members(Z, members, pool_negative)
-    s_phip, arg_phip = _pool_members(Z, members, pool_positive)
-    s_min, arg_min = _pool_members(Zm, members, pool_negative)
-    s_plus, arg_plus = _pool_members(Zp, members, pool_positive)
+    A = Z[members]  # [N,K,T], pooled twice
+    s_phim, arg_phim = _pool_members(A, pool_negative)
+    s_phip, arg_phip = _pool_members(A, pool_positive)
+    s_min, arg_min = _pool_members(Zm[members], pool_negative)
+    s_plus, arg_plus = _pool_members(Zp[members], pool_positive)
     loss, grads = _loss_from_pooled(s_phip, s_plus, s_phim, s_min, tau,
                                     include_own_negative, want_grads)
     if not want_grads:

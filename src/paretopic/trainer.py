@@ -72,11 +72,12 @@ class ModelState:
 
 @dataclass
 class TrainData:
-    """Dense count matrices for anchors and their two augmented views."""
+    """Dense counts [3, N, V] of the anchors and their positive and negative views."""
     doc_ids: list[int]
-    Xc: Array
-    Xp: Array
-    Xm: Array
+    X: Array
+
+    def __post_init__(self):
+        self.Xc, self.Xp, self.Xm = self.X  # views, not copies
 
 
 def init_state(V: int, config: TrainConfig, vocab_hash: str) -> ModelState:
@@ -104,11 +105,8 @@ def prepare_training_data(corpus: Corpus, triples: list[AugmentedTriple]) -> Tra
         negatives.append(neg)
     if not doc_ids:
         raise DataError("no trainable documents with augmentations")
-    V = vocab.size
-    return TrainData(doc_ids=doc_ids,
-                     Xc=ntm.docs_to_matrix(anchors, V),
-                     Xp=ntm.docs_to_matrix(positives, V),
-                     Xm=ntm.docs_to_matrix(negatives, V))
+    X = ntm.docs_to_matrix(anchors + positives + negatives, vocab.size)
+    return TrainData(doc_ids=doc_ids, X=X.reshape(3, len(doc_ids), vocab.size))
 
 
 def train_step(batch_rows: Array, state: ModelState, data: TrainData,
@@ -246,10 +244,12 @@ def load_checkpoint(path: str, expect_vocab_hash: str | None = None) -> ModelSta
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"checkpoint {path} is malformed: not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"checkpoint {path}: unsupported format_version {doc.get('format_version')}")
-    if expect_vocab_hash is not None and doc["vocab_hash"] != expect_vocab_hash:
+    if expect_vocab_hash is not None and doc.get("vocab_hash") != expect_vocab_hash:
         raise DataError(f"checkpoint {path}: vocabulary hash mismatch")
     try:
         V, H, T = int(doc["V"]), int(doc["H"]), int(doc["T"])

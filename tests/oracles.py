@@ -24,6 +24,16 @@ def affine_backward(x: Array, W: Array, dy: Array):
     return dx, dW, db
 
 
+def sigmoid(x: Array) -> Array:
+    """Logistic function by boolean-mask indexing, one branch per sign."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def log_softmax_backward(lp: Array, dy: Array) -> Array:
     return dy - np.exp(lp) * dy.sum(axis=-1, keepdims=True)
 

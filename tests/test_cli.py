@@ -135,6 +135,40 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target, edit, command", [
+        ("ck.json", lambda text: "[1, 2]", "topics"),
+        ("ck.json", lambda text: '{"format_version": 1}', "topics"),
+        ("vocab.json", lambda text: "5", "topics"),
+        ("aug.jsonl", lambda text: edit_first_record(text, anchor_id="0"), "train"),
+        ("aug.jsonl", lambda text: edit_first_record(text, positive_text=["apple"]), "train"),
+        ("corpus.jsonl", lambda text: text + '{"text": 5}\n', "build-vocab"),
+    ], ids=["checkpoint-list", "checkpoint-no-hash", "vocab-int", "cache-anchor-str",
+            "cache-text-list", "corpus-text-int"])
+    def test_malformed_json_is_data_error(self, workdir, capsys, target, edit, command):
+        corpus, vocab = str(workdir / "corpus.jsonl"), str(workdir / "vocab.json")
+        cache, ckpt = str(workdir / "aug.jsonl"), str(workdir / "ck.json")
+        argv = {
+            "build-vocab": ["build-vocab", "--input", corpus, "--output", vocab,
+                            "--min-df", "1", "--max-df-frac", "1.0"],
+            "topics": ["topics", "--checkpoint", ckpt, "--vocab", vocab,
+                       "--output", str(workdir / "topics.json")],
+            "train": ["train", "--input", corpus, "--vocab", vocab, "--cache", cache,
+                      "--checkpoint", ckpt, "--seed", "1"],
+        }
+        assert cli.main(argv["build-vocab"]) == 0
+        assert cli.main(["augment", "--input", corpus, "--vocab", vocab,
+                         "--output", cache, "--mode", "tfidf", "--seed", "0"]) == 0
+        path = workdir / target
+        path.write_text(edit(path.read_text() if path.exists() else ""))
+        capsys.readouterr()
+        assert cli.main(argv[command]) == cli.EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+
+def edit_first_record(jsonl: str, **changes) -> str:
+    first, *rest = jsonl.splitlines(keepends=True)
+    return json.dumps({**json.loads(first), **changes}) + "\n" + "".join(rest)
+
 
 class TestPipeline:
     def test_end_to_end(self, workdir, capsys):

@@ -60,6 +60,14 @@ class TestActivations:
         np.testing.assert_allclose(diffnet.softplus_backward(x, dy),
                                    1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
 
+    def test_sigmoid_matches_mask_oracle_bit_for_bit(self):
+        edges = [0.0, 1e-300, 709.0, 745.0, 800.0, np.inf]
+        cases = [np.array(edges + [-v for v in edges] + [np.nan])]
+        cases += [RNG.standard_normal((4, 50)) * scale for scale in (0.1, 1, 10, 100, 1000)]
+        for x in cases:
+            # equal_nan: a NaN input gives NaN from both, whatever its sign bit
+            assert np.array_equal(diffnet.sigmoid(x), oracles.sigmoid(x), equal_nan=True)
+
     def test_softmax_rows_sum_to_one(self):
         y = diffnet.softmax(RNG.standard_normal((5, 7)) * 50)
         np.testing.assert_allclose(y.sum(axis=1), np.ones(5), rtol=1e-12)

@@ -1,6 +1,9 @@
 import copy
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,3 +274,35 @@ class TestContrastivePathIsolation:
             st.dec.beta = st.dec.beta + bump
             recs.append(trainer.train_step(np.arange(6), st, data, cfg, step=0))
         assert recs[0]["infonce"] == recs[1]["infonce"]
+
+
+# The acceptance gate's planted fit (T=5, H=100, B=200) cut to 3 epochs of
+# 600-token documents: 24 steps, a few seconds per run.
+THREAD_FIT = """
+import hashlib, json
+from conftest import planted_corpus
+from test_acceptance import make_triples
+from paretopic import trainer
+corpus = planted_corpus(1, 1600, doc_len=600)
+cfg = trainer.TrainConfig(seed=1, num_topics=5, hidden=100, batch_size=200, epochs=3)
+state, records = trainer.fit(corpus, make_triples(corpus, 1), cfg)
+h = hashlib.sha256(json.dumps(records).encode())
+for a in state.enc.arrays() + state.dec.arrays():
+    h.update(a.tobytes())
+print(len(records), h.hexdigest())
+"""
+
+
+def test_gate_training_independent_of_blas_threads():
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", THREAD_FIT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("24 ")
+    assert outputs[0] == outputs[1]
