@@ -136,8 +136,9 @@ def vectorize(text: str, vocab: Vocabulary, label: object = None) -> BowDocument
 def load_corpus(path: str, max_malformed_frac: float = 0.01) -> list[tuple[str, object]]:
     """Read a JSONL corpus of {"text": ..., "label": optional}.
 
-    Malformed lines (bad JSON, no string "text") are reported by line number;
-    the whole load fails if more than max_malformed_frac of lines are bad.
+    Malformed lines (bad JSON, no string "text", a list or object "label")
+    are reported by line number; the whole load fails if more than
+    max_malformed_frac of lines are bad.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -154,7 +155,8 @@ def load_corpus(path: str, max_malformed_frac: float = 0.01) -> list[tuple[str, 
         except json.JSONDecodeError:
             malformed.append(lineno)
             continue
-        if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+        if not isinstance(obj, dict) or not isinstance(obj.get("text"), str) \
+                or isinstance(obj.get("label"), (list, dict)):
             malformed.append(lineno)
             continue
         entries.append((obj["text"], obj.get("label")))

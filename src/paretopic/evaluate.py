@@ -127,21 +127,17 @@ def align_topics(A: list[Array], B: list[Array],
         raise DataError(
             f"topic distributions are over different vocabularies: "
             f"{A[0].shape} vs {B[0].shape}")
-    scores = [[js_divergence(a, b) for b in B] for a in A]
-    free_a = set(range(len(A)))
-    free_b = set(range(len(B)))
+    scored = sorted((js_divergence(a, b), i, j)
+                    for i, a in enumerate(A) for j, b in enumerate(B))
+    used_a, used_b = set(), set()
     matching: list[tuple[int, int, float]] = []
-    while free_a and free_b:
-        best = None
-        for i in sorted(free_a):
-            for j in sorted(free_b):
-                if best is None or scores[i][j] < best[2]:
-                    best = (i, j, scores[i][j])
-        if best[2] > threshold:
+    for js, i, j in scored:
+        if js > threshold:
             break
-        matching.append(best)
-        free_a.discard(best[0])
-        free_b.discard(best[1])
+        if i not in used_a and j not in used_b:
+            matching.append((i, j, js))
+            used_a.add(i)
+            used_b.add(j)
     return matching
 
 
@@ -165,7 +161,8 @@ def logistic_proxy_f1(features: Array, labels: Array, l2: float = 1e-4,
     for external classifiers fed from the exported feature table.
     """
     n, d = features.shape
-    classes = sorted(set(labels.tolist()))
+    # ordered by type name first, so mixed scalar labels such as 0 and "a" sort
+    classes = sorted(set(labels.tolist()), key=lambda l: (type(l).__name__, l))
     y = np.array([classes.index(l) for l in labels.tolist()])
     C = len(classes)
     rng = np.random.default_rng(seed)

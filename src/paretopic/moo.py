@@ -1,17 +1,16 @@
 """Two-task gradient blending: min-norm Pareto solver and baseline strategies.
 
-The ``mgda`` strategy solves the min-norm problem on loss-scaled gradients,
-g_i / (L_i * ||g_i||), the ``loss+`` normaliser of Sener & Koltun (2018,
-"Multi-Task Learning as Multi-Objective Optimization"), since the text of
-the source paper, and so its own choice, is not at hand. Without it the
-solver simply follows whichever raw gradient happens to be shorter, and the
-raw scales here come from arbitrary reductions (InfoNCE summed over sets,
-ELBO averaged over documents). The min-norm point of the scaled pair is
-rescaled back to a convex combination of the raw gradients, so the step is
-still a common descent direction of both losses.
-
-Every reduction that feeds a decision or a diagnostic is a numpy sum rather
-than a BLAS dot product, whose rounding depends on the BLAS thread count.
+Every decision is read off the pair's Gram matrix G = [[g1.g1, g1.g2],
+[g1.g2, g2.g2]]: three numpy sums rather than BLAS dot products, whose
+rounding depends on the BLAS thread count. ``mgda`` solves the min-norm
+problem on loss-scaled gradients g_i / c_i, c_i = L_i * ||g_i||, the
+``loss+`` normaliser of Sener & Koltun (2018, "Multi-Task Learning as
+Multi-Objective Optimization"), since the source paper's own choice is not
+at hand. Without it the solver follows whichever raw gradient is shorter,
+and the raw scales come from arbitrary reductions (InfoNCE summed over sets,
+ELBO averaged over documents). The scaled pair's Gram matrix is
+G_ij / (c_i c_j), and its min-norm point, rescaled to a convex combination
+of the raw gradients, is still a common descent direction of both losses.
 """
 from __future__ import annotations
 
@@ -29,7 +28,6 @@ STRATEGIES = ("mgda", "linear", "random", "pcgrad")
 class BlendDecision:
     alpha: float | None  # None for pcgrad (direction only)
     direction: Array
-    strategy: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -50,22 +48,30 @@ def _norm(a: Array) -> float:
     return float(np.sqrt(_dot(a, a)))
 
 
-def _min_norm(g1: Array, g2: Array, tie_eps: float) -> tuple[float, float]:
-    """alpha_min_norm's weight and its denominator ||g1 - g2||^2."""
-    diff = g1 - g2
-    denom = _dot(diff, diff)
+def _gram(g1: Array, g2: Array) -> tuple[float, float, float]:
+    """The pair's Gram entries (g1.g1, g1.g2, g2.g2)."""
+    return _dot(g1, g1), _dot(g1, g2), _dot(g2, g2)
+
+
+def _min_norm(g11: float, g12: float, g22: float, tie_eps: float):
+    """Min-norm weights (a, 1 - a) from the Gram entries, and ||g1 - g2||^2;
+    1 - a has its own numerator, so it keeps its digits when a is near 1."""
+    denom = g11 - 2.0 * g12 + g22
     if denom < tie_eps:
-        return 0.5, denom
-    return float(np.clip(-_dot(diff, g2) / denom, 0.0, 1.0)), denom
+        return 0.5, 0.5, denom
+    a, b = (g22 - g12) / denom, (g11 - g12) / denom
+    if min(a, b) <= 0.0:  # the min-norm point is an endpoint
+        a, b = (0.0, 1.0) if a <= 0.0 else (1.0, 0.0)
+    return a, b, denom
 
 
 def alpha_min_norm(g1: Array, g2: Array, tie_eps: float = DEFAULT_TIE_EPS) -> float:
     """Exact minimizer of ||a g1 + (1-a) g2||^2 over a in [0, 1].
 
-    a* = clip((g2 - g1) . g2 / ||g1 - g2||^2, 0, 1); near-identical gradients
+    a* = clip((g2.g2 - g1.g2) / ||g1 - g2||^2, 0, 1); near-identical pairs
     (||g1 - g2||^2 < tie_eps) return 0.5, where any a gives the same direction.
     """
-    return _min_norm(*_check_pair(g1, g2), tie_eps)[0]
+    return _min_norm(*_gram(*_check_pair(g1, g2)), tie_eps)[0]
 
 
 def alpha_grid_oracle(g1: Array, g2: Array, steps: int = 10_000) -> float:
@@ -94,45 +100,37 @@ def blend(g1: Array, g2: Array, alpha: float) -> Array:
     return alpha * g1 + (1.0 - alpha) * g2
 
 
-def _pcgrad_direction(g1: Array, g2: Array) -> Array:
-    dot = _dot(g1, g2)
-    if dot >= 0.0:
-        return g1 + g2
-    p1 = g1 - dot / _dot(g2, g2) * g2
-    p2 = g2 - dot / _dot(g1, g1) * g1
-    return p1 + p2
-
-
 def strategy_dispatch(name: str, g1: Array, g2: Array, params: dict | None = None,
                       rng: np.random.Generator | None = None,
                       losses: tuple[float, float] | None = None) -> BlendDecision:
     """Pick a blend direction for (g1, g2) = (contrastive, ELBO) gradients.
 
-    ``mgda`` needs the two losses for its loss+ scaling. With
-    c_i = L_i * ||g_i||, the solver sees g_i / c_i and returns a; its
-    min-norm point a g1/c1 + (1-a) g2/c2 is a positive multiple of
+    ``mgda`` needs the two losses for its loss+ scaling: with
+    c_i = L_i sqrt(g_ii), it solves the Gram entries g_ij / (c_i c_j) for a.
+    The min-norm point a g1/c1 + (1-a) g2/c2 is a positive multiple of
     beta g1 + (1-beta) g2 with beta = (a/c1) / (a/c1 + (1-a)/c2). The
     returned alpha is beta and the direction is blend(g1, g2, beta). If
     ``losses`` is None or either c_i is not positive (a zero loss or
-    gradient) the solve runs on the raw pair and beta = a. The diagnostics
-    flag a ``degenerate_pair`` when the solved pair is closer than tie_eps.
-    ``linear``, ``random`` and ``pcgrad`` work on the raw gradients and
-    ignore ``losses``.
+    gradient) the solve runs on G itself and beta = a. The diagnostics flag
+    a ``degenerate_pair`` when the solved pair is closer than tie_eps.
+    ``pcgrad`` projects each conflicting gradient onto the other's normal
+    plane: weights (1 - g12/g11, 1 - g12/g22) when g12 < 0, else (1, 1).
+    ``linear``, ``random`` and ``pcgrad`` ignore ``losses``.
     """
     g1, g2 = _check_pair(g1, g2)
     params = params or {}
     tie_eps = params.get("tie_eps", DEFAULT_TIE_EPS)
-    n1, n2 = _norm(g1), _norm(g2)
+    g11, g12, g22 = _gram(g1, g2)
+    n1, n2 = float(np.sqrt(g11)), float(np.sqrt(g22))
     if name == "mgda":
         c1 = c2 = 0.0
         if losses is not None:
             c1, c2 = float(losses[0]) * n1, float(losses[1]) * n2
         if c1 > 0.0 and c2 > 0.0:
-            a, denom = _min_norm(g1 / c1, g2 / c2, tie_eps)
-            w1, w2 = a / c1, (1.0 - a) / c2
-            alpha = w1 / (w1 + w2)
+            a, b, denom = _min_norm(g11 / (c1 * c1), g12 / (c1 * c2), g22 / (c2 * c2), tie_eps)
+            alpha = (a / c1) / (a / c1 + b / c2)
         else:
-            alpha, denom = _min_norm(g1, g2, tie_eps)
+            alpha, _, denom = _min_norm(g11, g12, g22, tie_eps)
         direction = blend(g1, g2, alpha)
     elif name == "linear":
         alpha = float(params.get("linear_alpha", 0.5))
@@ -144,16 +142,16 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, params: dict | None = Non
         direction = blend(g1, g2, alpha)
     elif name == "pcgrad":
         alpha = None
-        direction = _pcgrad_direction(g1, g2)
+        w1, w2 = (1.0, 1.0) if g12 >= 0.0 else (1.0 - g12 / g11, 1.0 - g12 / g22)
+        direction = w1 * g1 + w2 * g2
     else:
         raise ValueError(f"unknown strategy {name!r}, expected one of {STRATEGIES}")
     diagnostics = {
         "g1_norm": n1,
         "g2_norm": n2,
         "direction_norm": _norm(direction),
-        "g1_dot_g2": _dot(g1, g2),
+        "g1_dot_g2": g12,
     }
     if name == "mgda" and denom < tie_eps:
         diagnostics["degenerate_pair"] = True
-    return BlendDecision(alpha=alpha, direction=direction, strategy=name,
-                         diagnostics=diagnostics)
+    return BlendDecision(alpha=alpha, direction=direction, diagnostics=diagnostics)

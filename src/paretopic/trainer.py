@@ -6,6 +6,7 @@ always receives the plain ELBO gradient.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -49,8 +50,14 @@ class TrainConfig:
                 f"set size K={self.set_size} must satisfy 1 <= K <= batch size B={self.batch_size}")
         if self.shuffle_count < 1:
             raise ConfigError("shuffle_count must be >= 1")
+        for name in ("temperature", "learning_rate", "linear_alpha", "tie_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature <= 0 or self.learning_rate <= 0:
             raise ConfigError("temperature and learning_rate must be positive")
+        if not 0.0 <= self.linear_alpha <= 1.0 or self.tie_eps < 0:
+            raise ConfigError(f"linear_alpha must lie in [0, 1] and tie_eps be nonnegative, "
+                              f"got {self.linear_alpha} and {self.tie_eps}")
         if self.moo_strategy not in moo.STRATEGIES:
             raise ConfigError(
                 f"unknown moo strategy {self.moo_strategy!r}, expected one of {moo.STRATEGIES}")
@@ -211,6 +218,8 @@ def _params_from_json(cls, obj: dict, shapes, path: str):
         if a.shape != shape:
             raise DataError(f"checkpoint {path}: {f.name} has shape {a.shape}, "
                             f"expected {shape} from the header's V, H and T")
+        if not np.isfinite(a).all():
+            raise DataError(f"checkpoint {path}: {f.name} holds non-finite values")
         arrays.append(a)
     return cls(*arrays)
 

@@ -94,6 +94,59 @@ def cosine_sim_tau_backward(u: Array, v: Array, tau: float, dout: float):
     return du, dv
 
 
+def min_norm(g1: Array, g2: Array, tie_eps: float) -> tuple[float, float]:
+    """The min-norm weight computed from the difference vector g1 - g2, and
+    its denominator ||g1 - g2||^2."""
+    diff = g1 - g2
+    denom = float((diff * diff).sum())
+    if denom < tie_eps:
+        return 0.5, denom
+    return float(np.clip(-float((diff * g2).sum()) / denom, 0.0, 1.0)), denom
+
+
+def mgda_beta(g1: Array, g2: Array, losses, tie_eps: float) -> tuple[float, float]:
+    """``mgda``'s (beta, denominator) solved on explicitly scaled copies
+    g_i / c_i, c_i = L_i ||g_i||, or on the raw pair when losses is None."""
+    if losses is None:
+        return min_norm(g1, g2, tie_eps)
+    c1 = losses[0] * float(np.sqrt((g1 * g1).sum()))
+    c2 = losses[1] * float(np.sqrt((g2 * g2).sum()))
+    a, denom = min_norm(g1 / c1, g2 / c2, tie_eps)
+    w1, w2 = a / c1, (1.0 - a) / c2
+    return w1 / (w1 + w2), denom
+
+
+def pcgrad_direction(g1: Array, g2: Array) -> Array:
+    """PCGrad (Yu et al. 2020) as two explicit projections: each gradient
+    that conflicts with the other loses its component along the other."""
+    dot = float((g1 * g2).sum())
+    if dot >= 0.0:
+        return g1 + g2
+    p1 = g1 - dot / float((g2 * g2).sum()) * g2
+    p2 = g2 - dot / float((g1 * g1).sum()) * g1
+    return p1 + p2
+
+
+def align_topics(scores: list[list[float]], threshold: float) -> list[tuple[int, int, float]]:
+    """``evaluate.align_topics`` on precomputed JS scores as the original loop:
+    each round scans the free rows and columns for the lowest score, ties
+    going to the first (i, j)."""
+    free_a, free_b = set(range(len(scores))), set(range(len(scores[0]) if scores else 0))
+    matching: list[tuple[int, int, float]] = []
+    while free_a and free_b:
+        best = None
+        for i in sorted(free_a):
+            for j in sorted(free_b):
+                if best is None or scores[i][j] < best[2]:
+                    best = (i, j, scores[i][j])
+        if best[2] > threshold:
+            break
+        matching.append(best)
+        free_a.discard(best[0])
+        free_b.discard(best[1])
+    return matching
+
+
 def theta_from_z(z: Array) -> Array:
     return diffnet.softmax(z)
 

@@ -92,6 +92,43 @@ class TestExitCodes:
         assert cli.main(args) == cli.EXIT_USAGE
         assert "bad value for setcl.include_own_negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings, message", [
+        (["train.lr=inf"], "learning_rate must be finite"),
+        (["setcl.tau=nan"], "temperature must be finite"),
+        (["moo.strategy=linear", "moo.linear_alpha=1.5"], "linear_alpha must lie in [0, 1]"),
+        (["moo.linear_alpha=nan"], "linear_alpha must be finite"),
+        (["moo.tie_eps=-1e-9"], "tie_eps be nonnegative"),
+        (["moo.tie_eps=inf"], "tie_eps must be finite"),
+    ], ids=["lr-inf", "tau-nan", "alpha-above-one", "alpha-nan", "tie-eps-negative",
+            "tie-eps-inf"])
+    def test_bad_number_is_usage_error_before_any_read(self, tmp_path, capsys,
+                                                       settings, message):
+        # none of the files exists: the config must be rejected before any read
+        args = ["train", "--input", str(tmp_path / "corpus.jsonl"), "--vocab", "v.json",
+                "--cache", "c.jsonl", "--checkpoint", str(tmp_path / "ck.json"),
+                "--seed", "1"]
+        for item in settings:
+            args += ["--set", item]
+        assert cli.main(args) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_checkpoint_is_data_error(self, workdir, capsys, value):
+        vocab_path, ckpt = str(workdir / "vocab.json"), workdir / "model.json"
+        assert cli.main(["build-vocab", "--input", str(workdir / "corpus.jsonl"),
+                         "--output", vocab_path, "--min-df", "1", "--max-df-frac", "1.0"]) == 0
+        vocab = Vocabulary.load(vocab_path)
+        state = trainer.init_state(vocab.size, trainer.TrainConfig(seed=0, num_topics=3,
+                                                                   hidden=8),
+                                   vocab.content_hash())
+        state.dec.beta[1, 2] = value
+        trainer.save_checkpoint(state, str(ckpt))
+        capsys.readouterr()
+        assert cli.main(["topics", "--checkpoint", str(ckpt), "--vocab", vocab_path,
+                         "--output", str(workdir / "topics.txt")]) == cli.EXIT_DATA
+        assert "beta holds non-finite values" in capsys.readouterr().err
+        assert not (workdir / "topics.txt").exists()
+
     def test_inconsistent_checkpoint_is_data_error(self, workdir, capsys):
         corpus = str(workdir / "corpus.jsonl")
         vocab_path = str(workdir / "vocab.json")
@@ -142,8 +179,10 @@ class TestExitCodes:
         ("aug.jsonl", lambda text: edit_first_record(text, anchor_id="0"), "train"),
         ("aug.jsonl", lambda text: edit_first_record(text, positive_text=["apple"]), "train"),
         ("corpus.jsonl", lambda text: text + '{"text": 5}\n', "build-vocab"),
+        ("corpus.jsonl", lambda text: text + '{"text": "apple", "label": [1]}\n',
+         "build-vocab"),
     ], ids=["checkpoint-list", "checkpoint-no-hash", "vocab-int", "cache-anchor-str",
-            "cache-text-list", "corpus-text-int"])
+            "cache-text-list", "corpus-text-int", "corpus-label-list"])
     def test_malformed_json_is_data_error(self, workdir, capsys, target, edit, command):
         corpus, vocab = str(workdir / "corpus.jsonl"), str(workdir / "vocab.json")
         cache, ckpt = str(workdir / "aug.jsonl"), str(workdir / "ck.json")

@@ -102,6 +102,18 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="malformed"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("label", [[1], {"a": 1}])
+    def test_unhashable_label_counts_as_malformed(self, tmp_path, label):
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps({"text": f"doc {i}", "label": i}) for i in range(200)]
+        lines.insert(50, json.dumps({"text": "doc x", "label": label}))
+        path.write_text("\n".join(lines) + "\n")
+        entries = load_corpus(str(path))  # one bad line in 201 is tolerated
+        assert len(entries) == 200 and all(isinstance(l, int) for _, l in entries)
+        path.write_text(json.dumps({"text": "doc x", "label": label}) + "\n")
+        with pytest.raises(DataError, match="malformed"):
+            load_corpus(str(path))
+
     def test_few_malformed_tolerated(self, tmp_path):
         path = tmp_path / "c.jsonl"
         lines = [json.dumps({"text": f"doc {i}"}) for i in range(200)]

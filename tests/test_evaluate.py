@@ -215,6 +215,20 @@ class TestAlignTopics:
         with pytest.raises(DataError):
             evaluate.align_topics([np.array([1.0])], [np.array([0.5, 0.5])])
 
+    def test_sorted_pass_matches_free_set_loop(self):
+        # duplicated distributions give tied scores; the (i, j) order breaks them
+        rng = np.random.default_rng(9)
+        for _ in range(400):
+            A = self.make_dists(rng, int(rng.integers(1, 6)), V=4)
+            B = self.make_dists(rng, int(rng.integers(1, 6)), V=4)
+            if rng.random() < 0.5:
+                A.append(B[0].copy())
+                B.append(A[0].copy())
+            threshold = float(rng.choice([0.05, 0.1, 0.2, 0.4, float("inf")]))
+            scores = [[evaluate.js_divergence(a, b) for b in B] for a in A]
+            assert evaluate.align_topics(A, B, threshold) == \
+                oracles.align_topics(scores, threshold)
+
 
 class TestClassification:
     def test_macro_f1_perfect(self):
@@ -242,6 +256,15 @@ class TestClassification:
         y = np.array([i % 2 for i in range(200)])
         f1 = evaluate.logistic_proxy_f1(X, y)
         assert f1 < 0.75  # around chance, far from separable
+
+    def test_logistic_proxy_mixed_label_types(self):
+        # classes are ordered by type name, then value: 0 and "a" need not compare
+        rng = np.random.default_rng(5)
+        n = 120
+        y = np.array([i % 2 for i in range(n)])
+        X = np.stack([y, 1 - y], axis=1) + 0.01 * rng.standard_normal((n, 2))
+        mixed = np.array([0 if v == 0 else "a" for v in y], dtype=object)
+        assert evaluate.logistic_proxy_f1(X, mixed) == evaluate.logistic_proxy_f1(X, y)
 
     def test_feature_export(self, tmp_path):
         rng = np.random.default_rng(7)

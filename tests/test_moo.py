@@ -8,6 +8,8 @@ import pytest
 
 from paretopic import moo, setcl
 
+import oracles
+
 
 def random_pair(rng):
     dim = int(rng.integers(2, 50))
@@ -115,7 +117,8 @@ class TestStrategies:
             c1 = l1 * float(np.sqrt((g1 * g1).sum()))
             c2 = l2 * float(np.sqrt((g2 * g2).sum()))
             a = moo.alpha_min_norm(g1 / c1, g2 / c2)
-            assert dec.alpha == (a / c1) / (a / c1 + (1 - a) / c2)
+            # the Gram solve scales the entries, not the vectors: equal up to rounding
+            assert abs(dec.alpha - (a / c1) / (a / c1 + (1 - a) / c2)) <= 1e-12
             np.testing.assert_array_equal(dec.direction,
                                           moo.blend(g1, g2, dec.alpha))
             # ... and the step is that pair's min-norm point, positively rescaled
@@ -199,6 +202,42 @@ class TestStrategies:
                 np.testing.assert_allclose(
                     d, p1 + (g2 - float(g1 @ g2) / float(g1 @ g1) * g1))
 
+    def test_gram_decision_matches_vector_oracles(self):
+        # against the difference-vector solve and the explicit PCGrad projections
+        rng = np.random.default_rng(7)
+        worst = dict(beta=0.0, mgda=0.0, pcgrad=0.0)
+        for k in range(1000):
+            dim = int(rng.integers(2, 30_001))
+            g1 = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+            if k % 5 == 4:  # nearly parallel
+                noise = rng.standard_normal(dim)
+                g2 = 10.0 ** rng.uniform(-3, 3) * g1
+                g2 += 1e-3 * np.linalg.norm(g2) / np.linalg.norm(noise) * noise
+            else:
+                g2 = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+            for losses in (None, tuple(10.0 ** rng.uniform(-3, 3, size=2))):
+                dec = moo.strategy_dispatch("mgda", g1, g2, losses=losses)
+                beta, denom = oracles.mgda_beta(g1, g2, losses, moo.DEFAULT_TIE_EPS)
+                ref = moo.blend(g1, g2, beta)
+                worst["beta"] = max(worst["beta"], abs(dec.alpha - beta))
+                worst["mgda"] = max(worst["mgda"], np.linalg.norm(dec.direction - ref)
+                                    / np.linalg.norm(ref))
+                assert dec.diagnostics.get("degenerate_pair", False) == \
+                    (denom < moo.DEFAULT_TIE_EPS)
+            ref = oracles.pcgrad_direction(g1, g2)
+            d = moo.strategy_dispatch("pcgrad", g1, g2).direction
+            worst["pcgrad"] = max(worst["pcgrad"],
+                                  np.linalg.norm(d - ref) / np.linalg.norm(ref))
+        # no pair above is degenerate; exact ties are, on both sides
+        g = rng.standard_normal(100)
+        for losses in (None, (2.0, 2.0)):
+            dec = moo.strategy_dispatch("mgda", g, g.copy(), losses=losses)
+            assert dec.alpha == 0.5 and dec.diagnostics["degenerate_pair"]
+            assert oracles.mgda_beta(g, g.copy(), losses, moo.DEFAULT_TIE_EPS) == (0.5, 0.0)
+        assert worst["beta"] <= 1e-9, worst
+        assert worst["mgda"] <= 1e-7, worst
+        assert worst["pcgrad"] <= 1e-12, worst
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             moo.strategy_dispatch("adam", np.ones(2), np.ones(2))
@@ -214,17 +253,19 @@ class TestStrategies:
 # planted encoder's size, large enough for OpenBLAS to split a dot product
 # across threads.
 THREAD_PROBE = """
+import hashlib
 import numpy as np
 from paretopic import moo
 rng = np.random.default_rng(2402)
 g1 = 80.0 * rng.standard_normal(21_110)
 g2 = 1000.0 * rng.standard_normal(21_110) - 40.0 * g1
 print("alpha_min_norm", moo.alpha_min_norm(g1, g2).hex())
-for losses in (None, (350.0, 19000.0)):
-    dec = moo.strategy_dispatch("mgda", g1, g2, losses=losses)
-    print(losses, "alpha", dec.alpha.hex())
+for name, losses in (("mgda", None), ("mgda", (350.0, 19000.0)), ("pcgrad", None)):
+    dec = moo.strategy_dispatch(name, g1, g2, losses=losses)
+    print(name, losses, "alpha", dec.alpha if dec.alpha is None else dec.alpha.hex())
+    print(name, losses, "direction", hashlib.sha256(dec.direction.tobytes()).hexdigest())
     for key, value in sorted(dec.diagnostics.items()):
-        print(losses, key, float(value).hex())
+        print(name, losses, key, float(value).hex())
 """
 
 
