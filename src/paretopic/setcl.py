@@ -54,9 +54,10 @@ def _row_norms(X: Array) -> Array:
     return norms
 
 
-def _loss_from_pooled(s_phip: Array, s_plus: Array, s_phim: Array, s_min: Array,
+def _loss_from_pooled(s_phim: Array, s_phip: Array, s_min: Array, s_plus: Array,
                       tau: float, include_own_negative: bool, want_grads: bool):
-    """Loss and, optionally, gradients w.r.t. the pooled vectors."""
+    """Loss and, optionally, gradients w.r.t. the pooled vectors, in the
+    order of the arguments."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     nu_p = _row_norms(s_phip)
@@ -89,31 +90,25 @@ def _loss_from_pooled(s_phip: Array, s_plus: Array, s_phim: Array, s_min: Array,
     d_plus = (g_pos / (nv_p * tau))[:, None] * (Uh_p - cos_pos[:, None] * Vh_p)
     d_phim = (W @ Vh_m - (W * C_neg).sum(axis=1)[:, None] * Uh_m) / (nu_m[:, None] * tau)
     d_min = (W.T @ Uh_m - (W * C_neg).sum(axis=0)[:, None] * Vh_m) / (nv_m[:, None] * tau)
-    return loss, (d_phip, d_plus, d_phim, d_min)
+    return loss, (d_phim, d_phip, d_min, d_plus)
 
 
-def _pool_members(A: Array, mode: str):
-    """Pool gathered members A [N,K,T] -> ([N,T], routing argindices or None)."""
+def _pool_members(A: Array, members: Array, mode: str):
+    """Pool gathered members A [N,K,T] of the sets ``members`` [N,K].
+
+    Returns the pooled [N,T] vectors, the batch rows each pooled entry came
+    from ([N,1,T] for min/max, [N,K,1] for mean/sum) and the divisor of the
+    gradient each of those rows receives.
+    """
     if mode in ("min", "max"):
-        arg = A.argmin(axis=1) if mode == "min" else A.argmax(axis=1)
-        return np.take_along_axis(A, arg[:, None, :], axis=1)[:, 0, :], arg
+        arg = (A.argmin(axis=1) if mode == "min" else A.argmax(axis=1))[:, None, :]
+        rows = np.take_along_axis(members[:, :, None], arg, axis=1)
+        return np.take_along_axis(A, arg, axis=1)[:, 0, :], rows, 1
     if mode == "mean":
-        return A.mean(axis=1), None
+        return A.mean(axis=1), members[:, :, None], members.shape[1]
     if mode == "sum":
-        return A.sum(axis=1), None
+        return A.sum(axis=1), members[:, :, None], 1
     raise ValueError(f"unknown pool mode {mode!r}, expected one of {POOL_MODES}")
-
-
-def _route_back(dZv: Array, members: Array, arg, dS: Array, mode: str) -> None:
-    N, K = members.shape
-    T = dS.shape[1]
-    if mode in ("min", "max"):
-        rows = np.take_along_axis(members, arg, axis=1)  # [N,T] batch rows
-        np.add.at(dZv, (rows, np.broadcast_to(np.arange(T), (N, T))), dS)
-    elif mode == "mean":
-        np.add.at(dZv, members, np.broadcast_to(dS[:, None, :] / K, (N, K, T)))
-    else:  # sum
-        np.add.at(dZv, members, np.broadcast_to(dS[:, None, :], (N, K, T)))
 
 
 def infonce_with_grads(Z: Array, Zp: Array, Zm: Array, members: Array, tau: float,
@@ -127,20 +122,15 @@ def infonce_with_grads(Z: Array, Zp: Array, Zm: Array, members: Array, tau: floa
     negative views; members is the [N,K] set membership matrix.
     """
     A = Z[members]  # [N,K,T], pooled twice
-    s_phim, arg_phim = _pool_members(A, pool_negative)
-    s_phip, arg_phip = _pool_members(A, pool_positive)
-    s_min, arg_min = _pool_members(Zm[members], pool_negative)
-    s_plus, arg_plus = _pool_members(Zp[members], pool_positive)
-    loss, grads = _loss_from_pooled(s_phip, s_plus, s_phim, s_min, tau,
-                                    include_own_negative, want_grads)
+    pools = (_pool_members(A, members, pool_negative), _pool_members(A, members, pool_positive),
+             _pool_members(Zm[members], members, pool_negative),
+             _pool_members(Zp[members], members, pool_positive))
+    loss, grads = _loss_from_pooled(*(p[0] for p in pools), tau, include_own_negative,
+                                    want_grads)
     if not want_grads:
         return loss, None, None, None
-    d_phip, d_plus, d_phim, d_min = grads
-    dZ = np.zeros_like(Z)
-    dZp = np.zeros_like(Zp)
-    dZm = np.zeros_like(Zm)
-    _route_back(dZ, members, arg_phim, d_phim, pool_negative)
-    _route_back(dZ, members, arg_phip, d_phip, pool_positive)
-    _route_back(dZm, members, arg_min, d_min, pool_negative)
-    _route_back(dZp, members, arg_plus, d_plus, pool_positive)
+    dZ, dZp, dZm = np.zeros_like(Z), np.zeros_like(Zp), np.zeros_like(Zm)
+    t = np.arange(Z.shape[1])
+    for dZv, (_, rows, div), dS in zip((dZ, dZ, dZm, dZp), pools, grads):
+        np.add.at(dZv, (rows, t), dS[:, None, :] / div)
     return loss, dZ, dZp, dZm

@@ -70,6 +70,32 @@ def pool_backward(rows: Array, mode: str, dy: Array) -> Array:
     return drows
 
 
+def pool_members(A: Array, mode: str):
+    """Pool gathered set members A [N,K,T] -> ([N,T], argindices [N,T] for
+    min/max, else None): ``setcl``'s pooling before it returned the rows."""
+    if mode in ("min", "max"):
+        arg = A.argmin(axis=1) if mode == "min" else A.argmax(axis=1)
+        return np.take_along_axis(A, arg[:, None, :], axis=1)[:, 0, :], arg
+    if mode == "mean":
+        return A.mean(axis=1), None
+    if mode == "sum":
+        return A.sum(axis=1), None
+    raise ValueError(f"unknown pool mode {mode!r}")
+
+
+def route_back(dZv: Array, members: Array, arg, dS: Array, mode: str) -> None:
+    """Scatter pooled gradients dS [N,T] into dZv, one branch per pool mode."""
+    N, K = members.shape
+    T = dS.shape[1]
+    if mode in ("min", "max"):
+        rows = np.take_along_axis(members, arg, axis=1)  # [N,T] batch rows
+        np.add.at(dZv, (rows, np.broadcast_to(np.arange(T), (N, T))), dS)
+    elif mode == "mean":
+        np.add.at(dZv, members, np.broadcast_to(dS[:, None, :] / K, (N, K, T)))
+    else:  # sum
+        np.add.at(dZv, members, np.broadcast_to(dS[:, None, :], (N, K, T)))
+
+
 def cosine_sim_tau(u: Array, v: Array, tau: float) -> float:
     """Temperature-scaled cosine: (u.v) / (|u||v| tau)."""
     u, v = np.ravel(u).astype(np.float64), np.ravel(v).astype(np.float64)
@@ -194,7 +220,7 @@ def setwise_infonce(reps: list[SetRepresentation], tau: float,
     s_plus = np.stack([r.s_plus for r in reps])
     s_phim = np.stack([r.s_phi_minus for r in reps])
     s_min = np.stack([r.s_minus for r in reps])
-    loss, _ = setcl._loss_from_pooled(s_phip, s_plus, s_phim, s_min, tau,
+    loss, _ = setcl._loss_from_pooled(s_phim, s_phip, s_min, s_plus, tau,
                                       include_own_negative, want_grads=False)
     return loss
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import SetRepresentation, set_representations, setwise_infonce
 from paretopic import setcl
 from paretopic.errors import NumericError
@@ -221,3 +222,46 @@ class TestGradients:
         loss_fast, *_ = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.3)
         loss_ref = setwise_infonce(reps_from_views(Z, Zp, Zm, members), tau=0.3)
         assert loss_fast == pytest.approx(loss_ref, rel=1e-12)
+
+
+POOL_PAIRS = [(p, n) for p in setcl.POOL_MODES for n in setcl.POOL_MODES]
+
+
+def random_batch(rng, B, T, K, S, rounded=False):
+    Z, Zp, Zm = (rng.standard_normal((B, T)) for _ in range(3))
+    if rounded:  # many exact ties among set members
+        Z, Zp, Zm = np.round(Z), np.round(Zp), np.round(Zm)
+    members = setcl.members_matrix(
+        setcl.build_sets(setcl.build_index_matrix(B, S, rng_seed=rng), K))
+    return Z, Zp, Zm, members
+
+
+def bits_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestRouting:
+    @pytest.mark.parametrize("pool_pos,pool_neg", POOL_PAIRS)
+    def test_routing_matches_per_mode_oracle(self, monkeypatch, pool_pos, pool_neg):
+        # fixed pooled gradients: only the routing back to the batch rows is tested
+        rng = np.random.default_rng(11)
+        fixed = []
+
+        def stub(*args):  # the four pooled arrays, then tau and two flags
+            fixed[:] = [rng.standard_normal(pooled.shape) for pooled in args[:4]]
+            return 0.0, tuple(fixed)
+
+        monkeypatch.setattr(setcl, "_loss_from_pooled", stub)
+        for B, T, K, S, rounded in ((9, 5, 3, 2, False), (9, 5, 3, 2, True),
+                                    (6, 4, 1, 3, True), (6, 4, 6, 3, True),
+                                    (7, 3, 7, 1, False)):
+            Z, Zp, Zm, members = random_batch(rng, B, T, K, S, rounded)
+            _, dZ, dZp, dZm = setcl.infonce_with_grads(
+                Z, Zp, Zm, members, tau=0.2, pool_positive=pool_pos, pool_negative=pool_neg)
+            expect = [np.zeros_like(Z), np.zeros_like(Zp), np.zeros_like(Zm)]
+            for (view, out), mode, dS in zip(((Z, 0), (Z, 0), (Zm, 2), (Zp, 1)),
+                                             (pool_neg, pool_pos, pool_neg, pool_pos), fixed):
+                _, arg = oracles.pool_members(view[members], mode)
+                oracles.route_back(expect[out], members, arg, dS, mode)
+            for got, ref in zip((dZ, dZp, dZm), expect):
+                assert bits_equal(got, ref)
