@@ -62,6 +62,23 @@ def _apply_config_item(overrides: dict, item: str, where: str) -> None:
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
+def _checked(kind, ok, expected: str):
+    """An argparse type: kind(text), refused unless ok(value) holds."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    convert.__name__ = kind.__name__  # argparse names the type in its own errors
+    return convert
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_OPEN_FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_DF_FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_NONNEGATIVE = _checked(float, lambda v: v >= 0.0, "a number >= 0")  # also refuses nan
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -307,8 +324,8 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--min-df", type=int, default=corpus_mod.DEFAULT_MIN_DF)
-    p.add_argument("--max-df-frac", type=float, default=corpus_mod.DEFAULT_MAX_DF_FRAC)
-    p.add_argument("--max-size", type=int, default=corpus_mod.DEFAULT_MAX_SIZE)
+    p.add_argument("--max-df-frac", type=_DF_FRACTION, default=corpus_mod.DEFAULT_MAX_DF_FRAC)
+    p.add_argument("--max-size", type=_POSITIVE_INT, default=corpus_mod.DEFAULT_MAX_SIZE)
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("augment", help="build the positive/negative augmentation cache")
@@ -319,8 +336,8 @@ def build_parser() -> _Parser:
     p.add_argument("--endpoint", help="chat-completions endpoint URL (llm mode)")
     p.add_argument("--model", default="gpt-3.5-turbo")
     p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--replace-frac", type=float, default=augment_mod.DEFAULT_REPLACE_FRAC)
-    p.add_argument("--drop-frac", type=float, default=augment_mod.DEFAULT_DROP_FRAC)
+    p.add_argument("--replace-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_REPLACE_FRAC)
+    p.add_argument("--drop-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_DROP_FRAC)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_augment)
 
@@ -341,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--top-n", type=int, default=evaluate.DEFAULT_TOP_N)
+    p.add_argument("--top-n", type=_POSITIVE_INT, default=evaluate.DEFAULT_TOP_N)
     p.set_defaults(func=cmd_topics)
 
     p = sub.add_parser("eval", help="NPMI and topic diversity against a reference corpus")
@@ -355,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint-a", required=True)
     p.add_argument("--checkpoint-b", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--threshold", type=float, default=evaluate.DEFAULT_ALIGN_THRESHOLD)
+    p.add_argument("--threshold", type=_NONNEGATIVE, default=evaluate.DEFAULT_ALIGN_THRESHOLD)
     p.add_argument("--output")
     p.set_defaults(func=cmd_align)
 

@@ -243,4 +243,6 @@ def load_topics(path: str, vocab: Vocabulary) -> list[list[int]]:
                 raise DataError(f"{path}:{lineno}: word {w!r} is not in the vocabulary")
             row.append(vocab.index[w])
         topics.append(row)
+    if not topics:
+        raise DataError(f"topics file {path} holds no topic line")
     return topics

@@ -2,7 +2,10 @@
 
 The loss contrasts pooled representations of K-document sets: the positive
 term pairs a min-pooled anchor with its positive view, negative terms pair
-the max-pooled anchor with every other set's negative view.
+the max-pooled anchor with every other set's negative view. Pooling records
+the batch rows each pooled entry came from, and the pooled gradients return
+to those rows. The cosine backward is one unit-vector backward per pooled
+array, applied to dL/d(cosine) times the other side's unit vectors.
 """
 from __future__ import annotations
 
@@ -47,11 +50,17 @@ def members_matrix(sets) -> Array:
     return np.asarray(sets, dtype=np.int64)
 
 
-def _row_norms(X: Array) -> Array:
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
+def _unit(X: Array) -> tuple[Array, Array]:
+    """Rows of X scaled to unit length, and their lengths."""
+    n = np.linalg.norm(X, axis=1)
+    if np.any(n == 0.0):
         raise NumericError("setwise InfoNCE: zero-norm pooled vector")
-    return norms
+    return X / n[:, None], n
+
+
+def _unit_backward(Xh: Array, n: Array, dXh: Array) -> Array:
+    """dL/dX for Xh = X / ||X|| (row-wise), given dL/dXh."""
+    return (dXh - (dXh * Xh).sum(axis=1)[:, None] * Xh) / n[:, None]
 
 
 def _loss_from_pooled(s_phim: Array, s_phip: Array, s_min: Array, s_plus: Array,
@@ -60,17 +69,9 @@ def _loss_from_pooled(s_phim: Array, s_phip: Array, s_min: Array, s_plus: Array,
     order of the arguments."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    nu_p = _row_norms(s_phip)
-    nv_p = _row_norms(s_plus)
-    nu_m = _row_norms(s_phim)
-    nv_m = _row_norms(s_min)
-    Uh_p = s_phip / nu_p[:, None]
-    Vh_p = s_plus / nv_p[:, None]
-    Uh_m = s_phim / nu_m[:, None]
-    Vh_m = s_min / nv_m[:, None]
-    f_pos = (Uh_p * Vh_p).sum(axis=1) / tau                    # [N]
-    C_neg = Uh_m @ Vh_m.T                                      # cosines [N,N]
-    F_neg = C_neg / tau
+    (Um, nu_m), (Up, nu_p), (Vm, nv_m), (Vp, nv_p) = map(_unit, (s_phim, s_phip, s_min, s_plus))
+    f_pos = (Up * Vp).sum(axis=1) / tau                        # [N]
+    F_neg = Um @ Vm.T / tau                                    # [N,N]
     if not include_own_negative:
         np.fill_diagonal(F_neg, -np.inf)  # exponentiates to exactly 0 below
     m = np.maximum(f_pos, F_neg.max(axis=1))
@@ -82,15 +83,10 @@ def _loss_from_pooled(s_phim: Array, s_phip: Array, s_min: Array, s_plus: Array,
         raise NumericError("setwise InfoNCE loss is non-finite")
     if not want_grads:
         return loss, None
-    p_pos = e_pos / denom
-    W = E_neg / denom[:, None]                                 # dL/dF_neg
-    g_pos = p_pos - 1.0                                        # dL/df_pos
-    cos_pos = f_pos * tau
-    d_phip = (g_pos / (nu_p * tau))[:, None] * (Vh_p - cos_pos[:, None] * Uh_p)
-    d_plus = (g_pos / (nv_p * tau))[:, None] * (Uh_p - cos_pos[:, None] * Vh_p)
-    d_phim = (W @ Vh_m - (W * C_neg).sum(axis=1)[:, None] * Uh_m) / (nu_m[:, None] * tau)
-    d_min = (W.T @ Uh_m - (W * C_neg).sum(axis=0)[:, None] * Vh_m) / (nv_m[:, None] * tau)
-    return loss, (d_phim, d_phip, d_min, d_plus)
+    g = ((e_pos / denom - 1.0) / tau)[:, None]                 # dL/d cos_pos
+    W = E_neg / (denom * tau)[:, None]                         # dL/d cos_neg
+    return loss, (_unit_backward(Um, nu_m, W @ Vm), _unit_backward(Up, nu_p, g * Vp),
+                  _unit_backward(Vm, nv_m, W.T @ Um), _unit_backward(Vp, nv_p, g * Up))
 
 
 def _pool_members(A: Array, members: Array, mode: str):

@@ -120,26 +120,33 @@ def cosine_sim_tau_backward(u: Array, v: Array, tau: float, dout: float):
     return du, dv
 
 
-def min_norm(g1: Array, g2: Array, tie_eps: float) -> tuple[float, float]:
-    """The min-norm weight computed from the difference vector g1 - g2, and
-    its denominator ||g1 - g2||^2."""
-    diff = g1 - g2
-    denom = float((diff * diff).sum())
+def min_norm(g1: Array, g2: Array, tie_eps: float):
+    """The min-norm weights (a, 1 - a) and their denominator ||g1 - g2||^2,
+    from the difference vector in ``np.longdouble``; 1 - a is solved from its
+    own numerator, so it keeps its digits when a is close to 1."""
+    diff = g1.astype(np.longdouble) - g2
+    denom = (diff * diff).sum()
     if denom < tie_eps:
-        return 0.5, denom
-    return float(np.clip(-float((diff * g2).sum()) / denom, 0.0, 1.0)), denom
+        return 0.5, 0.5, denom
+    a, b = -(diff * g2).sum() / denom, (diff * g1).sum() / denom
+    if min(a, b) <= 0.0:  # the min-norm point is an endpoint
+        a, b = (0.0, 1.0) if a <= 0.0 else (1.0, 0.0)
+    return a, b, denom
 
 
 def mgda_beta(g1: Array, g2: Array, losses, tie_eps: float) -> tuple[float, float]:
-    """``mgda``'s (beta, denominator) solved on explicitly scaled copies
-    g_i / c_i, c_i = L_i ||g_i||, or on the raw pair when losses is None."""
+    """``mgda``'s (beta, denominator) solved in ``np.longdouble`` on explicitly
+    scaled copies g_i / c_i, c_i = L_i ||g_i||, or on the raw pair when losses
+    is None."""
+    g1, g2 = g1.astype(np.longdouble), g2.astype(np.longdouble)
     if losses is None:
-        return min_norm(g1, g2, tie_eps)
-    c1 = losses[0] * float(np.sqrt((g1 * g1).sum()))
-    c2 = losses[1] * float(np.sqrt((g2 * g2).sum()))
-    a, denom = min_norm(g1 / c1, g2 / c2, tie_eps)
-    w1, w2 = a / c1, (1.0 - a) / c2
-    return w1 / (w1 + w2), denom
+        a, _, denom = min_norm(g1, g2, tie_eps)
+        return float(a), float(denom)
+    c1 = np.longdouble(losses[0]) * np.sqrt((g1 * g1).sum())
+    c2 = np.longdouble(losses[1]) * np.sqrt((g2 * g2).sum())
+    a, b, denom = min_norm(g1 / c1, g2 / c2, tie_eps)
+    w1, w2 = a / c1, b / c2
+    return float(w1 / (w1 + w2)), float(denom)
 
 
 def pcgrad_direction(g1: Array, g2: Array) -> Array:
@@ -216,13 +223,40 @@ def setwise_infonce(reps: list[SetRepresentation], tau: float,
     """Loss over precomputed set representations."""
     if not reps:
         raise ValueError("setwise_infonce: need at least one set")
-    s_phip = np.stack([r.s_phi_plus for r in reps])
-    s_plus = np.stack([r.s_plus for r in reps])
-    s_phim = np.stack([r.s_phi_minus for r in reps])
-    s_min = np.stack([r.s_minus for r in reps])
-    loss, _ = setcl._loss_from_pooled(s_phim, s_phip, s_min, s_plus, tau,
-                                      include_own_negative, want_grads=False)
+    pooled = (np.stack([getattr(r, name) for r in reps])
+              for name in ("s_phi_minus", "s_phi_plus", "s_minus", "s_plus"))
+    loss, _ = setcl._loss_from_pooled(*pooled, tau, include_own_negative, want_grads=False)
     return loss
+
+
+def setwise_infonce_grads(Z: Array, Zp: Array, Zm: Array, members, tau: float,
+                          pool_positive: str, pool_negative: str,
+                          include_own_negative: bool = False):
+    """(dL/dZ, dL/dZp, dL/dZm) of the setwise InfoNCE, one set and one cosine
+    pair at a time, through ``cosine_sim_tau_backward`` and ``pool_backward``."""
+    reps = [set_representations(m, Z, Zp, Zm, pool_positive, pool_negative) for m in members]
+    N, T = len(reps), Z.shape[1]
+    d_phim, d_phip, d_min, d_plus = (np.zeros((N, T)) for _ in range(4))
+    for n, r in enumerate(reps):
+        negs = [j for j in range(N) if include_own_negative or j != n]
+        f = np.array([cosine_sim_tau(r.s_phi_plus, r.s_plus, tau)]
+                     + [cosine_sim_tau(r.s_phi_minus, reps[j].s_minus, tau) for j in negs])
+        p = np.exp(f - f.max())
+        p /= p.sum()
+        du, dv = cosine_sim_tau_backward(r.s_phi_plus, r.s_plus, tau, p[0] - 1.0)
+        d_phip[n] += du
+        d_plus[n] += dv
+        for j, p_j in zip(negs, p[1:]):
+            du, dv = cosine_sim_tau_backward(r.s_phi_minus, reps[j].s_minus, tau, p_j)
+            d_phim[n] += du
+            d_min[j] += dv
+    dZ, dZp, dZm = np.zeros_like(Z), np.zeros_like(Zp), np.zeros_like(Zm)
+    for n, m in enumerate(np.asarray(members)):
+        dZ[m] += pool_backward(Z[m], pool_negative, d_phim[n])
+        dZ[m] += pool_backward(Z[m], pool_positive, d_phip[n])
+        dZm[m] += pool_backward(Zm[m], pool_negative, d_min[n])
+        dZp[m] += pool_backward(Zp[m], pool_positive, d_plus[n])
+    return dZ, dZp, dZm
 
 
 def tfidf_augment(aug, doc: BowDocument, polarity: str, replace_frac: float,

@@ -112,6 +112,33 @@ class TestExitCodes:
         assert cli.main(args) == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["build-vocab", "--max-size", "-1"], "expected an integer >= 1, got '-1'"),
+        (["build-vocab", "--max-size", "0"], "expected an integer >= 1, got '0'"),
+        (["build-vocab", "--max-df-frac", "1.5"], "expected a number in (0, 1], got '1.5'"),
+        (["augment", "--vocab", "v.json", "--replace-frac", "1.5"],
+         "expected a number in (0, 1), got '1.5'"),
+        (["augment", "--vocab", "v.json", "--drop-frac", "0"],
+         "expected a number in (0, 1), got '0'"),
+        (["topics", "--checkpoint", "ck.json", "--vocab", "v.json", "--top-n", "-1"],
+         "expected an integer >= 1, got '-1'"),
+        (["topics", "--checkpoint", "ck.json", "--vocab", "v.json", "--top-n", "0"],
+         "expected an integer >= 1, got '0'"),
+        (["align", "--checkpoint-a", "a.json", "--checkpoint-b", "b.json", "--vocab", "v.json",
+          "--threshold", "nan"], "expected a number >= 0, got 'nan'"),
+    ], ids=["max-size-negative", "max-size-zero", "max-df-frac-above-one",
+            "replace-frac-above-one", "drop-frac-zero", "top-n-negative", "top-n-zero",
+            "threshold-nan"])
+    def test_out_of_range_flag_is_usage_error_before_any_read(self, tmp_path, capsys,
+                                                              args, message):
+        # none of the files exists: the flag must be rejected before any read
+        out = ["--output", str(tmp_path / "out")]
+        if args[0] in ("build-vocab", "augment"):
+            out += ["--input", str(tmp_path / "corpus.jsonl")]
+        assert cli.main(args + out) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_checkpoint_is_data_error(self, workdir, capsys, value):
         vocab_path, ckpt = str(workdir / "vocab.json"), workdir / "model.json"
@@ -307,6 +334,18 @@ class TestPipeline:
         code = cli.main(["eval", "--topics", str(bad_topics), "--vocab", vocab,
                          "--reference", corpus, "--output", str(root / "m.json")])
         assert code == cli.EXIT_DATA
+
+
+    def test_empty_topics_file_is_data_error(self, workdir, capsys):
+        corpus, vocab = str(workdir / "corpus.jsonl"), str(workdir / "vocab.json")
+        cli.main(["build-vocab", "--input", corpus, "--output", vocab,
+                  "--min-df", "1", "--max-df-frac", "1.0"])
+        empty = workdir / "topics.txt"
+        empty.write_text("\n  \n")
+        code = cli.main(["eval", "--topics", str(empty), "--vocab", vocab,
+                         "--reference", corpus, "--output", str(workdir / "m.json")])
+        assert code == cli.EXIT_DATA
+        assert "holds no topic line" in capsys.readouterr().err
 
 
 class TestSelftest:

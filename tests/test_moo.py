@@ -203,7 +203,7 @@ class TestStrategies:
                     d, p1 + (g2 - float(g1 @ g2) / float(g1 @ g1) * g1))
 
     def test_gram_decision_matches_vector_oracles(self):
-        # against the difference-vector solve and the explicit PCGrad projections
+        # against the long-double difference-vector solve and the explicit PCGrad projections
         rng = np.random.default_rng(7)
         worst = dict(beta=0.0, mgda=0.0, pcgrad=0.0)
         for k in range(1000):
@@ -234,7 +234,9 @@ class TestStrategies:
             dec = moo.strategy_dispatch("mgda", g, g.copy(), losses=losses)
             assert dec.alpha == 0.5 and dec.diagnostics["degenerate_pair"]
             assert oracles.mgda_beta(g, g.copy(), losses, moo.DEFAULT_TIE_EPS) == (0.5, 0.0)
-        assert worst["beta"] <= 1e-9, worst
+        # the long-double oracle rounds well below float64 only where it is wider
+        if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+            assert worst["beta"] <= 1e-12, worst
         assert worst["mgda"] <= 1e-7, worst
         assert worst["pcgrad"] <= 1e-12, worst
 

@@ -186,6 +186,22 @@ class TestInstanceWiseReduction:
                                          abs=1e-10)
 
 
+POOL_PAIRS = [(p, n) for p in setcl.POOL_MODES for n in setcl.POOL_MODES]
+
+
+def random_batch(rng, B, T, K, S, rounded=False):
+    Z, Zp, Zm = (rng.standard_normal((B, T)) for _ in range(3))
+    if rounded:  # many exact ties among set members
+        Z, Zp, Zm = np.round(Z), np.round(Zp), np.round(Zm)
+    members = setcl.members_matrix(
+        setcl.build_sets(setcl.build_index_matrix(B, S, rng_seed=rng), K))
+    return Z, Zp, Zm, members
+
+
+def bits_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestGradients:
     @pytest.mark.parametrize("pool_pos,pool_neg", [("min", "max"), ("mean", "sum")])
     def test_grads_match_fd(self, pool_pos, pool_neg):
@@ -214,6 +230,20 @@ class TestGradients:
                 a = grad.ravel()[i]
                 assert abs(a - fd) / max(1e-8, abs(a) + abs(fd)) < 1e-4
 
+    @pytest.mark.parametrize("pool_pos,pool_neg", POOL_PAIRS)
+    def test_grads_match_per_set_oracle(self, pool_pos, pool_neg):
+        rng = np.random.default_rng(12)
+        for include_own_negative in (False, True):
+            Z, Zp, Zm, members = random_batch(rng, 10, 5, 3, 3)
+            _, *grads = setcl.infonce_with_grads(
+                Z, Zp, Zm, members, tau=0.2, pool_positive=pool_pos, pool_negative=pool_neg,
+                include_own_negative=include_own_negative)
+            expect = oracles.setwise_infonce_grads(Z, Zp, Zm, members, 0.2, pool_pos,
+                                                   pool_neg, include_own_negative)
+            for got, ref in zip(grads, expect):
+                np.testing.assert_allclose(got, ref, rtol=1e-10,
+                                           atol=1e-10 * np.abs(ref).max())
+
     def test_entry_points_agree(self):
         rng = np.random.default_rng(10)
         Z, Zp, Zm = (rng.standard_normal((8, 4)) for _ in range(3))
@@ -222,22 +252,6 @@ class TestGradients:
         loss_fast, *_ = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.3)
         loss_ref = setwise_infonce(reps_from_views(Z, Zp, Zm, members), tau=0.3)
         assert loss_fast == pytest.approx(loss_ref, rel=1e-12)
-
-
-POOL_PAIRS = [(p, n) for p in setcl.POOL_MODES for n in setcl.POOL_MODES]
-
-
-def random_batch(rng, B, T, K, S, rounded=False):
-    Z, Zp, Zm = (rng.standard_normal((B, T)) for _ in range(3))
-    if rounded:  # many exact ties among set members
-        Z, Zp, Zm = np.round(Z), np.round(Zp), np.round(Zm)
-    members = setcl.members_matrix(
-        setcl.build_sets(setcl.build_index_matrix(B, S, rng_seed=rng), K))
-    return Z, Zp, Zm, members
-
-
-def bits_equal(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestRouting:
