@@ -26,6 +26,12 @@ def tokenize(text: str) -> list[str]:
     return [t for t in toks if len(t) >= 2 and not _DIGITS_RE.match(t)]
 
 
+def _token_counts(text: str) -> dict[str, int]:
+    """Counts of tokenize(text), in order of first occurrence, filtered once per distinct token."""
+    counts = Counter(_TOKEN_RE.findall(text.lower()))
+    return {t: c for t, c in counts.items() if len(t) >= 2 and not _DIGITS_RE.match(t)}
+
+
 @dataclass
 class Vocabulary:
     words: list[str]
@@ -107,7 +113,7 @@ def build_vocabulary(texts: list[str], min_df: int = DEFAULT_MIN_DF,
         raise DataError(f"max_df_frac must be in (0, 1], got {max_df_frac}")
     df: Counter[str] = Counter()
     for text in texts:
-        df.update(set(tokenize(text)))
+        df.update(_token_counts(text).keys())
     ceiling = max_df_frac * len(texts)
     kept = [(w, c) for w, c in df.items() if min_df <= c <= ceiling]
     if not kept:
@@ -125,11 +131,7 @@ def vectorize(text: str, vocab: Vocabulary, label: object = None) -> BowDocument
     A document with zero in-vocabulary tokens comes back with empty counts
     (is_empty); the trainer skips those.
     """
-    counts: dict[int, int] = {}
-    for tok in tokenize(text):
-        idx = vocab.index.get(tok)
-        if idx is not None:
-            counts[idx] = counts.get(idx, 0) + 1
+    counts = {vocab.index[t]: c for t, c in _token_counts(text).items() if t in vocab.index}
     return BowDocument(counts=counts, label=label, raw_text=text)
 
 

@@ -5,6 +5,7 @@ elbo_with_grads / encoder_backward can run without recomputation.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -106,14 +107,18 @@ def unpack_decoder(flat: Array, V: int, T: int) -> DecoderParams:
     return DecoderParams(*unpack(flat, decoder_shapes(V, T)))
 
 
-def docs_to_matrix(docs: list[BowDocument], V: int) -> Array:
-    """Dense count matrix [B, V]; raises on an empty (untrainable) document."""
-    X = np.zeros((len(docs), V))
+def docs_to_matrix(docs: Iterable[BowDocument], V: int) -> Array:
+    """Counts [B, V] of docs (a list or a generator) in the narrowest unsigned dtype
+    that holds them, filled by one scatter; raises on an empty (untrainable) document."""
+    lengths, words, counts = [], [], []
     for i, doc in enumerate(docs):
         if doc.is_empty:
             raise DataError(f"document {i} has no in-vocabulary tokens")
-        for w, c in doc.counts.items():
-            X[i, w] = c
+        lengths.append(len(doc.counts))
+        words.extend(doc.counts)
+        counts.extend(doc.counts.values())
+    X = np.zeros((len(lengths), V), dtype=np.min_scalar_type(max(counts, default=0)))
+    X[np.repeat(np.arange(len(lengths)), lengths), words] = counts
     return X
 
 

@@ -9,6 +9,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -79,7 +80,8 @@ class ModelState:
 
 @dataclass
 class TrainData:
-    """Dense counts [3, N, V] of the anchors and their positive and negative views."""
+    """Counts [3, N, V] of the anchors and their positive and negative views, in the
+    narrowest unsigned dtype that holds them; a step casts its batch to float64, exactly."""
     doc_ids: list[int]
     X: Array
 
@@ -97,22 +99,27 @@ def init_state(V: int, config: TrainConfig, vocab_hash: str) -> ModelState:
 def prepare_training_data(corpus: Corpus, triples: list[AugmentedTriple]) -> TrainData:
     vocab = corpus.vocabulary
     by_anchor = {t.anchor_id: t for t in triples}
-    doc_ids, anchors, positives, negatives = [], [], [], []
-    for i in corpus.trainable_indices():
-        triple = by_anchor.get(i)
-        if triple is None:
+    doc_ids = corpus.trainable_indices()
+    for i in doc_ids:
+        if i not in by_anchor:
             raise DataError(f"augmentation cache does not cover document {i}")
-        pos = vectorize(triple.positive_text, vocab)
-        neg = vectorize(triple.negative_text, vocab)
-        if pos.is_empty or neg.is_empty:
-            raise DataError(f"augmentation for document {i} vectorizes to an empty document")
-        doc_ids.append(i)
-        anchors.append(corpus.documents[i])
-        positives.append(pos)
-        negatives.append(neg)
+    # build_augmentation_cache writes no record for an anchor without
+    # in-vocabulary tokens: such a record comes from another corpus or vocabulary
+    stray = sorted(by_anchor.keys() - set(doc_ids))
+    if stray:
+        raise DataError(f"augmentation cache has a record for document {stray[0]}, which has "
+                        "no in-vocabulary tokens: was it built for another corpus or vocabulary?")
     if not doc_ids:
         raise DataError("no trainable documents with augmentations")
-    X = ntm.docs_to_matrix(anchors + positives + negatives, vocab.size)
+
+    def views(field: str):  # one at a time: docs_to_matrix keeps only ids and counts
+        for i in doc_ids:
+            doc = vectorize(getattr(by_anchor[i], field), vocab)
+            if doc.is_empty:
+                raise DataError(f"augmentation for document {i} vectorizes to an empty document")
+            yield doc
+    X = ntm.docs_to_matrix(chain((corpus.documents[i] for i in doc_ids),
+                                 views("positive_text"), views("negative_text")), vocab.size)
     return TrainData(doc_ids=doc_ids, X=X.reshape(3, len(doc_ids), vocab.size))
 
 
@@ -123,7 +130,8 @@ def train_step(batch_rows: Array, state: ModelState, data: TrainData,
     if B < config.set_size:
         raise ConfigError(f"batch of {B} documents is smaller than set size {config.set_size}")
     rng = state.rng
-    Xb = data.Xc[batch_rows]
+    # the ELBO reads the anchor counts thrice; encode_batch's division casts the others
+    Xb = data.Xc[batch_rows].astype(np.float64)
     views = []  # (cache, eps, z) of the anchor, positive and negative views
     for X in (Xb, data.Xp[batch_rows], data.Xm[batch_rows]):
         cache = ntm.encode_batch(X, state.enc)

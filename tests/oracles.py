@@ -9,8 +9,8 @@ from itertools import combinations
 
 import numpy as np
 
-from paretopic import diffnet, setcl
-from paretopic.corpus import BowDocument, Corpus
+from paretopic import diffnet, setcl, trainer
+from paretopic.corpus import BowDocument, Corpus, Vocabulary, tokenize, vectorize
 from paretopic.errors import DataError, NumericError
 
 Array = np.ndarray
@@ -306,3 +306,37 @@ def cooccurrence_counts(corpus: Corpus) -> tuple[int, dict[int, int], dict[tuple
     if D == 0:
         raise DataError("reference corpus has no nonempty documents")
     return D, word_df, pair_df
+
+
+def vectorize_counts(text: str, vocab: Vocabulary) -> dict[int, int]:
+    """``vectorize(text, vocab).counts`` as the original loop over every token."""
+    counts: dict[int, int] = {}
+    for tok in tokenize(text):
+        idx = vocab.index.get(tok)
+        if idx is not None:
+            counts[idx] = counts.get(idx, 0) + 1
+    return counts
+
+
+def docs_to_matrix(docs: list[BowDocument], V: int) -> Array:
+    """Float64 count matrix [B, V], one Python assignment per entry."""
+    X = np.zeros((len(docs), V))
+    for i, doc in enumerate(docs):
+        if doc.is_empty:
+            raise DataError(f"document {i} has no in-vocabulary tokens")
+        for w, c in doc.counts.items():
+            X[i, w] = c
+    return X
+
+
+def prepare_training_data(corpus: Corpus, triples) -> trainer.TrainData:
+    """``trainer.prepare_training_data`` with float64 counts, every view
+    vectorised and held before one per-entry fill."""
+    vocab = corpus.vocabulary
+    by_anchor = {t.anchor_id: t for t in triples}
+    doc_ids = corpus.trainable_indices()
+    docs = [corpus.documents[i] for i in doc_ids]
+    for field in ("positive_text", "negative_text"):
+        docs += [vectorize(getattr(by_anchor[i], field), vocab) for i in doc_ids]
+    X = docs_to_matrix(docs, vocab.size)
+    return trainer.TrainData(doc_ids=doc_ids, X=X.reshape(3, len(doc_ids), vocab.size))

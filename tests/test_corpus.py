@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from paretopic.corpus import (BowDocument, Vocabulary, build_vocabulary,
                               load_corpus, make_corpus, tokenize, vectorize)
 from paretopic.errors import DataError
@@ -75,6 +76,17 @@ class TestVectorize:
 
     def test_deterministic(self, vocab):
         assert vectorize("aa bb bb", vocab).counts == vectorize("aa bb bb", vocab).counts
+
+    @given(st.lists(st.sampled_from(["aa", "Bb", "BB", "a", "12", "7", "x9", "zz", "a1",
+                                     ",", " ", "-"]), max_size=40))
+    def test_matches_per_token_count(self, tokens):
+        """Same counts, in the same order, as counting token by token; words a
+        loaded vocabulary may hold but tokenize drops ("a", "12") stay out."""
+        vocab = Vocabulary(words=["12", "bb", "a", "x9", "aa", "a1"], df=[1] * 6)
+        text = " ".join(tokens)
+        counts = vectorize(text, vocab).counts
+        assert list(counts.items()) == list(oracles.vectorize_counts(text, vocab).items())
+        assert 0 not in counts and 2 not in counts
 
     @given(st.lists(st.sampled_from(["aa", "bb", "zz", "qq"]), max_size=30))
     def test_total_count_equals_in_vocab_tokens(self, tokens):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from paretopic import diffnet, ntm
-from paretopic.corpus import BowDocument, Corpus, Vocabulary
+from paretopic.corpus import BowDocument, Corpus, Vocabulary, vectorize
 from paretopic.errors import DataError
 
 
@@ -54,6 +54,25 @@ class TestDocsToMatrix:
     def test_empty_doc_rejected(self):
         with pytest.raises(DataError):
             ntm.docs_to_matrix([BowDocument(counts={})], 5)
+        docs = (BowDocument(counts=c) for c in ({0: 1}, {}, {1: 1}))  # a generator
+        with pytest.raises(DataError, match="document 1"):
+            ntm.docs_to_matrix(docs, 5)
+
+    @pytest.mark.parametrize("top, dtype", [(1, np.uint8), (255, np.uint8),
+                                            (256, np.uint16), (65535, np.uint16),
+                                            (65536, np.uint32)])
+    def test_narrowest_unsigned_dtype(self, top, dtype):
+        docs = [BowDocument(counts={0: 2, 3: top}), BowDocument(counts={4: 1, 1: 7})]
+        X = ntm.docs_to_matrix(docs, 5)
+        assert X.dtype == dtype
+        np.testing.assert_array_equal(X, oracles.docs_to_matrix(docs, 5))
+
+    def test_long_document_of_one_word(self):
+        vocab = Vocabulary(words=["ab", "cd"], df=[1, 1])
+        doc = vectorize("ab " * 70_000, vocab)
+        X = ntm.docs_to_matrix([doc, BowDocument(counts={1: 3})], vocab.size)
+        assert X.dtype == np.uint32
+        np.testing.assert_array_equal(X, [[70_000, 0], [0, 3]])
 
 
 class TestEncode:

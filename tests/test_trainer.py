@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+from conftest import planted_corpus
 from paretopic import augment, ntm, trainer
 from paretopic.augment import AugmentedTriple
 from paretopic.corpus import build_vocabulary, make_corpus
@@ -54,6 +56,23 @@ class TestPrepareTrainingData:
         V = corpus.vocabulary.size
         assert data.Xc.shape == data.Xp.shape == data.Xm.shape == (6, V)
         assert data.doc_ids == list(range(6))
+
+    def test_counts_stored_narrow(self, tiny_texts):
+        corpus, triples, _ = tiny_setup(tiny_texts)
+        data = trainer.prepare_training_data(corpus, triples)
+        assert data.X.dtype == np.uint8
+        assert data.X.nbytes == 3 * 6 * corpus.vocabulary.size
+        np.testing.assert_array_equal(data.X, oracles.prepare_training_data(corpus, triples).X)
+
+    def test_record_for_anchor_without_vocabulary_words(self, tiny_texts):
+        """build_augmentation_cache writes no record for such an anchor, so a
+        cache that has one was built for another corpus or vocabulary."""
+        corpus, triples, _ = tiny_setup(tiny_texts)
+        corpus = make_corpus([(t, None) for t in tiny_texts + ["zzz qqq"]], corpus.vocabulary)
+        triples.append(AugmentedTriple(anchor_id=6, positive_text=triples[0].positive_text,
+                                       negative_text=triples[0].negative_text, method="tfidf"))
+        with pytest.raises(DataError, match="document 6"):
+            trainer.prepare_training_data(corpus, triples)
 
     def test_missing_augmentation(self, tiny_texts):
         corpus, triples, _ = tiny_setup(tiny_texts)
@@ -118,6 +137,32 @@ class TestTrainStep:
         expect_dec = ntm.pack_decoder(dec0) - cfg.learning_rate * res.g_dec
         np.testing.assert_array_equal(ntm.pack_encoder(state.enc), expect_enc)
         np.testing.assert_array_equal(ntm.pack_decoder(state.dec), expect_dec)
+
+    @pytest.mark.parametrize("source", ["tiny", "planted"])
+    def test_same_as_float64_counts(self, tiny_texts, source):
+        """Narrow integer counts train bit for bit like float64 counts; the
+        planted documents hold counts above 255 (uint16)."""
+        if source == "tiny":
+            corpus, triples, cfg = tiny_setup(tiny_texts)
+        else:
+            corpus = planted_corpus(3, 12, doc_len=6000)
+            triples = augment.build_augmentation_cache(corpus, method="tfidf", rng_seed=3)
+            cfg = TrainConfig(seed=3, num_topics=5, hidden=8, set_size=2, shuffle_count=2,
+                              batch_size=6, epochs=1)
+        runs = []
+        for data in (trainer.prepare_training_data(corpus, triples),
+                     oracles.prepare_training_data(corpus, triples)):
+            state = trainer.init_state(corpus.vocabulary.size, cfg,
+                                       corpus.vocabulary.content_hash())
+            records = [trainer.train_step(np.array(rows), state, data, cfg, step)
+                       for step, rows in enumerate([[0, 2, 4, 1, 3, 5], [5, 4, 3, 2, 1, 0],
+                                                    [1, 2, 3, 4, 5, 0]])]
+            runs.append((data.X.dtype, ntm.pack_encoder(state.enc),
+                         ntm.pack_decoder(state.dec), records))
+        assert runs[0][0] == (np.uint8 if source == "tiny" else np.uint16)
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+        np.testing.assert_array_equal(runs[0][2], runs[1][2])
+        assert runs[0][3] == runs[1][3]
 
     def test_decoder_ignores_contrastive_gradient(self, tiny_texts):
         """The decoder update must be identical under linear alpha=0 and
