@@ -29,18 +29,25 @@ DEFAULT_DROP_FRAC = 0.3
 
 @dataclass
 class AugmentedTriple:
+    """A document's positive and negative views: LLM text, or a {word: count} bag of
+    words from the TF-IDF and dropout augmentations, built against vocab_hash."""
     anchor_id: int
-    positive_text: str
-    negative_text: str
+    positive_text: str | dict[str, int]
+    negative_text: str | dict[str, int]
     method: str  # llm | tfidf | dropout
+    vocab_hash: str | None = None
 
     def __post_init__(self):
         if type(self.anchor_id) is not int:
             raise DataError(f"augmented triple: anchor_id {self.anchor_id!r} is not an integer")
-        if not (isinstance(self.positive_text, str) and isinstance(self.negative_text, str)):
-            raise DataError(f"augmented triple {self.anchor_id}: augmentation is not a string")
-        if not self.positive_text or not self.negative_text:
-            raise DataError(f"augmented triple {self.anchor_id}: empty augmentation text")
+        for view in (self.positive_text, self.negative_text):
+            if not (isinstance(view, (str, dict)) and view):
+                raise DataError(f"augmented triple {self.anchor_id}: an augmentation must be "
+                                "a nonempty string or {word: count} object")
+            if isinstance(view, dict) and not all(
+                    isinstance(w, str) and type(c) is int and c > 0 for w, c in view.items()):
+                raise DataError(f"augmented triple {self.anchor_id}: a bag-of-words view "
+                                "needs positive integer counts")
 
 
 class LlmAugmentError(DataError):
@@ -219,7 +226,8 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
                              drop_frac: float = DEFAULT_DROP_FRAC,
                              rng_seed: int = 0,
                              llm_options: dict | None = None) -> list[AugmentedTriple]:
-    """Produce one (positive, negative) pair of texts per nonempty document.
+    """Produce one (positive, negative) pair of views per nonempty document:
+    LLM completions as text, every other view as a {word: count} bag of words.
 
     Any augmentation that is, or would vectorize to, an empty document is
     regenerated with the dropout fallback.
@@ -227,6 +235,7 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
     from .corpus import vectorize
 
     vocab = corpus.vocabulary
+    vocab_hash = vocab.content_hash()
     tfidf = TfidfAugmenter(corpus) if method in ("tfidf", "llm") else None
     triples = []
     for i, doc in enumerate(corpus.documents):
@@ -255,9 +264,10 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
             if view is None or isinstance(view, BowDocument) and view.is_empty:
                 views[k] = dropout_augment(doc, drop_frac, rng_seed + 2 * i + k)
                 used = "dropout"
-        pos, neg = (v if isinstance(v, str) else bow_to_text(v, vocab) for v in views)
-        triples.append(AugmentedTriple(anchor_id=i, positive_text=pos,
-                                       negative_text=neg, method=used))
+        pos, neg = (v if isinstance(v, str) else
+                    {vocab.words[w]: c for w, c in sorted(v.counts.items())} for v in views)
+        triples.append(AugmentedTriple(anchor_id=i, positive_text=pos, negative_text=neg,
+                                       method=used, vocab_hash=vocab_hash))
     return triples
 
 

@@ -13,23 +13,25 @@ from .errors import DataError
 log = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
-_DIGITS_RE = re.compile(r"^[0-9]+$")
 
 DEFAULT_MIN_DF = 5
 DEFAULT_MAX_DF_FRAC = 0.7
 DEFAULT_MAX_SIZE = 2000
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, drop short and pure-digit tokens."""
-    toks = _TOKEN_RE.findall(text.lower())
-    return [t for t in toks if len(t) >= 2 and not _DIGITS_RE.match(t)]
-
-
 def _token_counts(text: str) -> dict[str, int]:
-    """Counts of tokenize(text), in order of first occurrence, filtered once per distinct token."""
-    counts = Counter(_TOKEN_RE.findall(text.lower()))
-    return {t: c for t, c in counts.items() if len(t) >= 2 and not _DIGITS_RE.match(t)}
+    """Counts of the tokens of text, in order of first occurrence: the lowercased
+    runs of [0-9a-z], without one-character and all-digit tokens.
+
+    No token spans whitespace, so the text is split on whitespace first and each
+    distinct chunk is tokenised once; a chunk that is one ASCII alphanumeric run
+    is one whole token, and only the others go through the regex.
+    """
+    counts: dict[str, int] = {}
+    for chunk, n in Counter(text.lower().split()).items():
+        for t in (chunk,) if chunk.isascii() and chunk.isalnum() else _TOKEN_RE.findall(chunk):
+            counts[t] = counts.get(t, 0) + n
+    return {t: c for t, c in counts.items() if len(t) >= 2 and not t.isdigit()}
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import moo, ntm, setcl
 from .augment import AugmentedTriple
-from .corpus import Corpus, vectorize
+from .corpus import BowDocument, Corpus, vectorize
 from .errors import ConfigError, DataError, NumericError
 
 Array = np.ndarray
@@ -111,12 +111,26 @@ def prepare_training_data(corpus: Corpus, triples: list[AugmentedTriple]) -> Tra
                         "no in-vocabulary tokens: was it built for another corpus or vocabulary?")
     if not doc_ids:
         raise DataError("no trainable documents with augmentations")
+    vocab_hash = vocab.content_hash()
+    for t in triples:
+        if t.vocab_hash not in (None, vocab_hash):
+            raise DataError(f"augmentation for document {t.anchor_id} was built against "
+                            "another vocabulary (vocab_hash mismatch)")
 
     def views(field: str):  # one at a time: docs_to_matrix keeps only ids and counts
         for i in doc_ids:
-            doc = vectorize(getattr(by_anchor[i], field), vocab)
-            if doc.is_empty:
-                raise DataError(f"augmentation for document {i} vectorizes to an empty document")
+            view = getattr(by_anchor[i], field)
+            if isinstance(view, str):  # an LLM completion, or a cache written as text
+                doc = vectorize(view, vocab)
+                if doc.is_empty:
+                    raise DataError(f"augmentation for document {i} vectorizes to an "
+                                    "empty document")
+            else:
+                unknown = view.keys() - vocab.index.keys()
+                if unknown:
+                    raise DataError(f"augmentation for document {i} holds a word that is "
+                                    f"not in the vocabulary: {min(unknown)!r}")
+                doc = BowDocument(counts={vocab.index[w]: c for w, c in view.items()})
             yield doc
     X = ntm.docs_to_matrix(chain((corpus.documents[i] for i in doc_ids),
                                  views("positive_text"), views("negative_text")), vocab.size)
@@ -248,7 +262,7 @@ def save_checkpoint(state: ModelState, path: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(json.dumps(doc, sort_keys=True))  # the C encoder; json.dump is pure Python
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

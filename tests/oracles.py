@@ -4,13 +4,14 @@ as the original pure-Python loop."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from paretopic import diffnet, setcl, trainer
-from paretopic.corpus import BowDocument, Corpus, Vocabulary, tokenize, vectorize
+from paretopic.corpus import BowDocument, Corpus, Vocabulary, vectorize
 from paretopic.errors import DataError, NumericError
 
 Array = np.ndarray
@@ -308,6 +309,13 @@ def cooccurrence_counts(corpus: Corpus) -> tuple[int, dict[int, int], dict[tuple
     return D, word_df, pair_df
 
 
+def tokenize(text: str) -> list[str]:
+    """The package's tokens as one regex pass over the whole text: lowercased
+    runs of [0-9a-z], without one-character and all-digit tokens."""
+    tokens = re.findall(r"[0-9a-z]+", text.lower())
+    return [t for t in tokens if len(t) >= 2 and not re.fullmatch(r"[0-9]+", t)]
+
+
 def vectorize_counts(text: str, vocab: Vocabulary) -> dict[int, int]:
     """``vectorize(text, vocab).counts`` as the original loop over every token."""
     counts: dict[int, int] = {}
@@ -331,12 +339,20 @@ def docs_to_matrix(docs: list[BowDocument], V: int) -> Array:
 
 def prepare_training_data(corpus: Corpus, triples) -> trainer.TrainData:
     """``trainer.prepare_training_data`` with float64 counts, every view
-    vectorised and held before one per-entry fill."""
+    vectorised or looked up word by word and held before one per-entry fill."""
     vocab = corpus.vocabulary
     by_anchor = {t.anchor_id: t for t in triples}
     doc_ids = corpus.trainable_indices()
     docs = [corpus.documents[i] for i in doc_ids]
     for field in ("positive_text", "negative_text"):
-        docs += [vectorize(getattr(by_anchor[i], field), vocab) for i in doc_ids]
+        for i in doc_ids:
+            view = getattr(by_anchor[i], field)
+            if isinstance(view, str):
+                docs.append(vectorize(view, vocab))
+            else:
+                counts: dict[int, int] = {}
+                for word, c in view.items():
+                    counts[vocab.words.index(word)] = c
+                docs.append(BowDocument(counts=counts))
     X = docs_to_matrix(docs, vocab.size)
     return trainer.TrainData(doc_ids=doc_ids, X=X.reshape(3, len(doc_ids), vocab.size))

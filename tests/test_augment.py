@@ -28,6 +28,13 @@ class TestAugmentedTriple:
             AugmentedTriple(anchor_id=0, positive_text="", negative_text="x",
                             method="tfidf")
 
+    @pytest.mark.parametrize("view", [{}, {"aa": 0}, {"aa": -1}, {"aa": True},
+                                      {"aa": 1.5}, {"aa": "2"}, {3: 1}, ["aa"]])
+    def test_rejects_malformed_bag_of_words(self, view):
+        with pytest.raises(DataError):
+            AugmentedTriple(anchor_id=0, positive_text={"aa": 1}, negative_text=view,
+                            method="tfidf")
+
 
 def fake_response(status=200, body=None, bad_json=False):
     resp = mock.Mock()
@@ -210,10 +217,13 @@ class TestBowToText:
 class TestCacheIo:
     def test_round_trip(self, tmp_path):
         triples = [AugmentedTriple(anchor_id=0, positive_text="aa",
-                                   negative_text="bb", method="tfidf")]
+                                   negative_text="bb", method="llm"),
+                   AugmentedTriple(anchor_id=1, positive_text={"aa": 2, "bb": 1},
+                                   negative_text={"cc": 3}, method="tfidf",
+                                   vocab_hash="f" * 64)]
         path = tmp_path / "aug.jsonl"
         cache_augmentations(triples, str(path))
-        assert load_augmentations(str(path), corpus_size=1) == triples
+        assert load_augmentations(str(path), corpus_size=2) == triples
 
     def test_out_of_range_anchor(self, tmp_path):
         path = tmp_path / "aug.jsonl"
@@ -247,7 +257,18 @@ class TestBuildCache:
         triples = build_augmentation_cache(corpus, method="tfidf", rng_seed=0)
         assert [t.anchor_id for t in triples] == corpus.trainable_indices()
         assert all(t.method == "tfidf" for t in triples)
-        assert all(t.positive_text and t.negative_text for t in triples)
+        assert all(t.vocab_hash == corpus.vocabulary.content_hash() for t in triples)
+
+    def test_views_are_the_augmented_bags_of_words(self, corpus):
+        """A TF-IDF view is written as the augmenter's counts, keyed by word."""
+        vocab = corpus.vocabulary
+        aug = TfidfAugmenter(corpus)
+        for t in build_augmentation_cache(corpus, method="tfidf", rng_seed=5):
+            doc = corpus.documents[t.anchor_id]
+            for view, polarity, seed in ((t.positive_text, "related", 5 + 2 * t.anchor_id),
+                                         (t.negative_text, "unrelated", 6 + 2 * t.anchor_id)):
+                counts = aug.augment(doc, polarity, rng_seed=seed).counts
+                assert view == {vocab.words[w]: c for w, c in counts.items()}
 
     def test_llm_failure_falls_back_to_tfidf(self, corpus):
         with mock.patch.object(augment, "llm_augment",
@@ -280,7 +301,7 @@ class TestBuildCache:
             triples = build_augmentation_cache(
                 corpus, method="llm", llm_options={"endpoint": "http://x"})
         assert all(t.method == "dropout" for t in triples)
-        from paretopic.corpus import vectorize
         for t in triples:
-            assert not vectorize(t.positive_text, corpus.vocabulary).is_empty
-            assert not vectorize(t.negative_text, corpus.vocabulary).is_empty
+            for view in (t.positive_text, t.negative_text):
+                assert isinstance(view, dict) and view
+                assert view.keys() <= set(corpus.vocabulary.words)

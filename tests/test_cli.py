@@ -205,11 +205,21 @@ class TestExitCodes:
         ("vocab.json", lambda text: "5", "topics"),
         ("aug.jsonl", lambda text: edit_first_record(text, anchor_id="0"), "train"),
         ("aug.jsonl", lambda text: edit_first_record(text, positive_text=["apple"]), "train"),
+        ("aug.jsonl", lambda text: edit_first_record(text, vocab_hash="0" * 64), "train"),
+        ("aug.jsonl", lambda text: edit_first_record(text, positive_text={"zebra": 1}), "train"),
+        ("aug.jsonl", lambda text: edit_first_record(text, positive_text={"apple": 0}), "train"),
+        ("aug.jsonl", lambda text: edit_first_record(text, positive_text={"apple": True}),
+         "train"),
+        ("aug.jsonl", lambda text: edit_first_record(text, positive_text={"apple": 1.5}),
+         "train"),
+        ("aug.jsonl", lambda text: edit_first_record(text, negative_text={}), "train"),
         ("corpus.jsonl", lambda text: text + '{"text": 5}\n', "build-vocab"),
         ("corpus.jsonl", lambda text: text + '{"text": "apple", "label": [1]}\n',
          "build-vocab"),
     ], ids=["checkpoint-list", "checkpoint-no-hash", "vocab-int", "cache-anchor-str",
-            "cache-text-list", "corpus-text-int", "corpus-label-list"])
+            "cache-text-list", "cache-vocab-hash", "cache-unknown-word", "cache-count-0",
+            "cache-count-true", "cache-count-float", "cache-empty-map", "corpus-text-int",
+            "corpus-label-list"])
     def test_malformed_json_is_data_error(self, workdir, capsys, target, edit, command):
         corpus, vocab = str(workdir / "corpus.jsonl"), str(workdir / "vocab.json")
         cache, ckpt = str(workdir / "aug.jsonl"), str(workdir / "ck.json")
@@ -322,6 +332,23 @@ class TestPipeline:
             blobs.append(tuple(open(p, "rb").read()
                                for p in (ckpt, topics, metrics)))
         assert blobs[0] == blobs[1]
+
+    def test_views_of_words_the_tokeniser_drops_train(self, tmp_path):
+        """A hand-made vocabulary may hold words no text tokenises to ("a", "12").
+        Every document here holds one word, so each negative view is made of
+        such words alone; a bag-of-words cache keeps them."""
+        corpus, vocab = str(tmp_path / "corpus.jsonl"), tmp_path / "vocab.json"
+        cache = str(tmp_path / "aug.jsonl")
+        write_jsonl(corpus, ["apple apple", "apple", "apple apple apple", "apple",
+                             "apple apple", "apple"])
+        vocab.write_text(json.dumps({"words": ["apple", "a", "12"], "df": [6, 1, 1]}))
+        assert cli.main(["augment", "--input", corpus, "--vocab", str(vocab),
+                         "--output", cache, "--mode", "tfidf", "--seed", "0"]) == 0
+        assert cli.main(["train", "--input", corpus, "--vocab", str(vocab), "--cache", cache,
+                         "--checkpoint", str(tmp_path / "ck.json"), "--seed", "1",
+                         "--set", "model.T=2", "--set", "model.H=4", "--set", "setcl.K=2",
+                         "--set", "setcl.S=2", "--set", "train.batch_size=6",
+                         "--set", "train.epochs=1"]) == 0
 
     def test_oov_topics_file_is_data_error(self, workdir, capsys):
         root = workdir

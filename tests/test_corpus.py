@@ -1,20 +1,22 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from paretopic.corpus import (BowDocument, Vocabulary, build_vocabulary,
-                              load_corpus, make_corpus, tokenize, vectorize)
+from paretopic.corpus import (BowDocument, Vocabulary, _token_counts, build_vocabulary,
+                              load_corpus, make_corpus, vectorize)
 from paretopic.errors import DataError
 
 
 class TestTokenize:
     def test_lowercase_and_split(self):
-        assert tokenize("Apple, BANANA! cherry") == ["apple", "banana", "cherry"]
+        assert _token_counts("Apple, BANANA! cherry apple") == {"apple": 2, "banana": 1,
+                                                               "cherry": 1}
 
     def test_drops_short_and_digit_tokens(self):
-        assert tokenize("a 42 ok x9 2nd") == ["ok", "x9", "2nd"]
+        assert list(_token_counts("a 42 ok x9 2nd")) == ["ok", "x9", "2nd"]
 
 
 class TestBuildVocabulary:
@@ -77,13 +79,23 @@ class TestVectorize:
     def test_deterministic(self, vocab):
         assert vectorize("aa bb bb", vocab).counts == vectorize("aa bb bb", vocab).counts
 
-    @given(st.lists(st.sampled_from(["aa", "Bb", "BB", "a", "12", "7", "x9", "zz", "a1",
-                                     ",", " ", "-"]), max_size=40))
-    def test_matches_per_token_count(self, tokens):
-        """Same counts, in the same order, as counting token by token; words a
-        loaded vocabulary may hold but tokenize drops ("a", "12") stay out."""
-        vocab = Vocabulary(words=["12", "bb", "a", "x9", "aa", "a1"], df=[1] * 6)
-        text = " ".join(tokens)
+    # Punctuation, digits, and characters that str.split takes for whitespace
+    # (\x1c-\x1f, \x85, \xa0, \u3000) or that change under lower() (the Kelvin
+    # sign lowers to ASCII "k", "İ" to "i" and a combining dot); "ﬁ" and "²" are
+    # alphanumeric but not ASCII.
+    PIECES = ["aa", "Bb", "BB", "a", "12", "7", "x9", "zz", "a1", ",", " ", "-", ".", "'",
+              "0", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000",
+              "\u212a", "\u0130", "\ufb01", "\xb2", "é"]
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=60))
+    def test_matches_per_token_count(self, pieces):
+        """Same counts, in the same order, as counting the regex's tokens one by
+        one; words a loaded vocabulary may hold but the tokeniser drops ("a",
+        "12") stay out."""
+        vocab = Vocabulary(words=["12", "bb", "a", "x9", "aa", "a1", "kk", "ia", "zz"],
+                           df=[1] * 9)
+        text = "".join(pieces)
+        assert list(_token_counts(text).items()) == list(Counter(oracles.tokenize(text)).items())
         counts = vectorize(text, vocab).counts
         assert list(counts.items()) == list(oracles.vectorize_counts(text, vocab).items())
         assert 0 not in counts and 2 not in counts

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 import oracles
 from conftest import planted_corpus
 from paretopic import augment, ntm, trainer
-from paretopic.augment import AugmentedTriple
-from paretopic.corpus import build_vocabulary, make_corpus
+from paretopic.augment import AugmentedTriple, bow_to_text
+from paretopic.corpus import BowDocument, build_vocabulary, make_corpus
 from paretopic.errors import ConfigError, DataError
 from paretopic.trainer import TrainConfig
 
@@ -72,6 +73,35 @@ class TestPrepareTrainingData:
         triples.append(AugmentedTriple(anchor_id=6, positive_text=triples[0].positive_text,
                                        negative_text=triples[0].negative_text, method="tfidf"))
         with pytest.raises(DataError, match="document 6"):
+            trainer.prepare_training_data(corpus, triples)
+
+    def test_bag_of_words_views_equal_their_text(self):
+        """Bag-of-words views fill the same counts as the same views rendered to
+        text and tokenised again; the planted counts exceed 255 (uint16)."""
+        corpus = planted_corpus(3, 12, doc_len=6000)
+        vocab = corpus.vocabulary
+        triples = augment.build_augmentation_cache(corpus, method="tfidf", rng_seed=3)
+
+        def as_text(view):
+            return bow_to_text(BowDocument({vocab.index[w]: c for w, c in view.items()}), vocab)
+        texts = [dataclasses.replace(t, positive_text=as_text(t.positive_text),
+                                     negative_text=as_text(t.negative_text)) for t in triples]
+        data = trainer.prepare_training_data(corpus, triples)
+        assert data.X.dtype == np.uint16
+        for other in (trainer.prepare_training_data(corpus, texts),
+                      oracles.prepare_training_data(corpus, triples)):
+            assert other.doc_ids == data.doc_ids
+            np.testing.assert_array_equal(other.X, data.X)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(vocab_hash="0" * 64), "document 2 was built against another vocabulary"),
+        (dict(negative_text={"apple": 1, "zebra": 2}),
+         "document 2 holds a word that is not in the vocabulary: 'zebra'"),
+    ])
+    def test_bag_of_words_view_of_another_vocabulary(self, tiny_texts, change, message):
+        corpus, triples, _ = tiny_setup(tiny_texts)
+        triples[2] = dataclasses.replace(triples[2], **change)
+        with pytest.raises(DataError, match=message):
             trainer.prepare_training_data(corpus, triples)
 
     def test_missing_augmentation(self, tiny_texts):
@@ -238,11 +268,21 @@ class TestCheckpoints:
         trainer.save_checkpoint(state, str(path))
         before = path.read_bytes()
 
-        def dump_then_fail(obj, fh, **kwargs):
-            fh.write(json.dumps(obj, **kwargs)[:100])
-            raise KeyboardInterrupt
+        class WriteThenFail:  # the checkpoint file, cut off 100 characters in
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
 
-        monkeypatch.setattr(trainer.json, "dump", dump_then_fail)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:100])
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(trainer, "open", WriteThenFail, raising=False)
         with pytest.raises(KeyboardInterrupt):
             trainer.save_checkpoint(trainer.init_state(state.V, cfg, state.vocab_hash),
                                     str(path))
