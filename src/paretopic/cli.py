@@ -190,8 +190,7 @@ def cmd_eval(args) -> int:
     vocab = corpus_mod.Vocabulary.load(args.vocab)
     topics = evaluate.load_topics(args.topics, vocab)
     reference = _load_vocab_corpus(args.reference, args.vocab, split_tag="test")
-    stats = evaluate.CooccurrenceStats.from_corpus(
-        reference, words={w for t in topics for w in t})
+    stats = evaluate.CooccurrenceStats.from_corpus(reference, topics=topics)
     per_topic, mean_npmi = evaluate.npmi(topics, stats)
     td = evaluate.topic_diversity(topics)
     metrics = {"npmi": mean_npmi, "npmi_per_topic": per_topic, "td": td,

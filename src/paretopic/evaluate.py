@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, combinations
 
 import numpy as np
@@ -29,13 +29,15 @@ class CooccurrenceStats:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus,
-                    words: Iterable[int] | None = None) -> "CooccurrenceStats":
+                    topics: list[list[int]] | None = None) -> "CooccurrenceStats":
         """Document frequency of every word, and of every pair (a, b), a < b,
-        of the given words (all words when None) that share a document.
+        of words that share a document and a topic (any two words when
+        topics is None).
 
-        Pair counts are the upper triangle of BᵀB, B the binary document ×
-        word matrix over those words' columns. Its entries are 0/1, so the
-        float64 sums are exact integers whatever the summation order.
+        A topic's pair counts are the upper triangle of BᵀB, B the binary
+        document × word matrix over its words' columns, cut from one matrix
+        over all topics' words. Its entries are 0/1, so the float64 sums are
+        exact integers whatever the summation order.
         """
         docs = [doc.counts for doc in corpus.documents if not doc.is_empty]
         if not docs:
@@ -45,17 +47,22 @@ class CooccurrenceStats:
         rows = np.repeat(np.arange(len(docs)), lengths)
         df = np.bincount(cols)
         present = np.flatnonzero(df)
-        keep = present if words is None else np.intersect1d(
-            present, np.fromiter(words, dtype=np.int64))
-        occurs = np.zeros((len(docs), len(df)), dtype=bool)
-        occurs[rows, cols] = True
-        B = occurs[:, keep].astype(np.float64)
-        co = np.triu(B.T @ B, 1).astype(np.int64)
-        a, b = np.nonzero(co)
-        pairs = zip(keep[a].tolist(), keep[b].tolist())
+        groups = [present] if topics is None else [
+            np.intersect1d(present, np.asarray(t, dtype=np.int64)) for t in topics]
+        columns = reduce(np.union1d, groups, present[:0])
+        hit = np.isin(cols, columns)
+        B = np.zeros((len(docs), len(columns)), dtype=bool)
+        B[rows[hit], np.searchsorted(columns, cols[hit])] = True
+        pair_doc_freq: dict[tuple[int, int], int] = {}
+        for words in groups:
+            Bw = B[:, np.searchsorted(columns, words)].astype(np.float64)
+            co = np.triu(Bw.T @ Bw, 1).astype(np.int64)
+            a, b = np.nonzero(co)
+            pair_doc_freq.update(zip(zip(words[a].tolist(), words[b].tolist()),
+                                     co[a, b].tolist()))
         return cls(doc_count=len(docs),
                    word_doc_freq=dict(zip(present.tolist(), df[present].tolist())),
-                   pair_doc_freq=dict(zip(pairs, co[a, b].tolist())))
+                   pair_doc_freq=pair_doc_freq)
 
     def p_word(self, w: int) -> float:
         return self.word_doc_freq.get(w, 0) / self.doc_count
@@ -103,17 +110,25 @@ def _kl(p: Array, q: Array) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
+def _check_distribution(name: str, d: Array) -> None:
+    if np.any(d < 0) or abs(d.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{name} is not a probability vector (sum={d.sum()})")
+
+
+def _js(p: Array, q: Array) -> float:
+    m = (p + q) / 2.0
+    return 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
+
+
 def js_divergence(p: Array, q: Array) -> float:
     """Jensen-Shannon divergence, natural log; bounded by ln 2."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"distribution shape mismatch: {p.shape} vs {q.shape}")
-    for name, d in (("p", p), ("q", q)):
-        if np.any(d < 0) or abs(d.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not a probability vector (sum={d.sum()})")
-    m = (p + q) / 2.0
-    return 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
+    _check_distribution("p", p)
+    _check_distribution("q", q)
+    return _js(p, q)
 
 
 def align_topics(A: list[Array], B: list[Array],
@@ -121,14 +136,19 @@ def align_topics(A: list[Array], B: list[Array],
     """Competitive linking: repeatedly match the globally lowest-JS pair.
 
     Stops once the lowest remaining JS exceeds the threshold; ties break by
-    (i, j) order. Emitted pairs have nondecreasing JS.
+    (i, j) order. Emitted pairs have nondecreasing JS. Each distribution is
+    checked once, before any pair is scored.
     """
-    if A and B and A[0].shape != B[0].shape:
+    A = [np.asarray(a, dtype=np.float64) for a in A]
+    B = [np.asarray(b, dtype=np.float64) for b in B]
+    shapes = {d.shape for d in A + B}
+    if len(shapes) > 1:
         raise DataError(
-            f"topic distributions are over different vocabularies: "
-            f"{A[0].shape} vs {B[0].shape}")
-    scored = sorted((js_divergence(a, b), i, j)
-                    for i, a in enumerate(A) for j, b in enumerate(B))
+            f"topic distributions are over different vocabularies: {sorted(shapes)}")
+    for name, dists in (("A", A), ("B", B)):
+        for k, d in enumerate(dists):
+            _check_distribution(f"{name}[{k}]", d)
+    scored = sorted((_js(a, b), i, j) for i, a in enumerate(A) for j, b in enumerate(B))
     used_a, used_b = set(), set()
     matching: list[tuple[int, int, float]] = []
     for js, i, j in scored:

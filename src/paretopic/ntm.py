@@ -19,6 +19,8 @@ Array = np.ndarray
 LOGVAR_CLAMP = 8.0
 INIT_SCALE = 0.05
 DEFAULT_HIDDEN = 100
+# Documents per encode in doc_theta; the last block takes fewer than twice this.
+THETA_BLOCK_ROWS = 256
 
 
 class _Params:
@@ -221,22 +223,33 @@ def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
 
 
 def top_words(dec: DecoderParams, vocab_words: list[str], n: int) -> list[list[int]]:
-    """Top-n word indices per topic by beta weight, lexicographic tiebreak."""
+    """Top-n word indices per topic by beta weight, lexicographic tiebreak:
+    one stable sort of -beta over the columns taken in lexicographic order."""
     T, V = dec.beta.shape
     if n > V:
         raise ValueError(f"top_words: n={n} exceeds vocabulary size {V}")
-    topics = []
-    for t in range(T):
-        order = sorted(range(V), key=lambda w: (-dec.beta[t, w], vocab_words[w]))
-        topics.append(order[:n])
-    return topics
+    lex = np.array(sorted(range(V), key=vocab_words.__getitem__), dtype=np.int64)
+    order = np.argsort(-dec.beta[:, lex], axis=1, kind="stable")[:, :n]
+    return lex[order].tolist()
 
 
 def doc_theta(corpus: Corpus, enc: EncoderParams) -> tuple[Array, list[int]]:
-    """Mean-path (eps = 0) theta_doc for every nonempty document."""
+    """Mean-path (eps = 0) theta_doc for every nonempty document.
+
+    Encodes THETA_BLOCK_ROWS documents at a time, so memory holds one
+    block's counts, never documents × vocabulary. The remainder joins the
+    last block: a product over a few rows can round differently from one over
+    many, while blocks this tall round as one whole-corpus encode does
+    (tested at 1 and 2 BLAS threads).
+    """
     keep = corpus.trainable_indices()
     if not keep:
         raise DataError("corpus has no nonempty documents")
-    Xc = docs_to_matrix([corpus.documents[i] for i in keep], corpus.vocabulary.size)
-    cache = encode_batch(Xc, enc)
-    return diffnet.softmax(cache.mu), keep
+    starts = range(0, max(len(keep) // THETA_BLOCK_ROWS, 1) * THETA_BLOCK_ROWS,
+                   THETA_BLOCK_ROWS)
+    theta = np.empty((len(keep), enc.b_mu.size))
+    for lo, hi in zip(starts, [*starts[1:], len(keep)]):
+        Xc = docs_to_matrix((corpus.documents[i] for i in keep[lo:hi]),
+                            corpus.vocabulary.size)
+        theta[lo:hi] = diffnet.softmax(encode_batch(Xc, enc).mu)
+    return theta, keep

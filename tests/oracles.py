@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from paretopic import diffnet, setcl, trainer
+from paretopic import diffnet, ntm, setcl, trainer
 from paretopic.corpus import BowDocument, Corpus, Vocabulary, vectorize
 from paretopic.errors import DataError, NumericError
 
@@ -307,6 +307,20 @@ def cooccurrence_counts(corpus: Corpus) -> tuple[int, dict[int, int], dict[tuple
     if D == 0:
         raise DataError("reference corpus has no nonempty documents")
     return D, word_df, pair_df
+
+
+def top_words(beta: Array, vocab_words: list[str], n: int) -> list[list[int]]:
+    """``ntm.top_words`` as one Python sort per topic on (-beta, word)."""
+    T, V = beta.shape
+    return [sorted(range(V), key=lambda w: (-beta[t, w], vocab_words[w]))[:n]
+            for t in range(T)]
+
+
+def doc_theta(corpus: Corpus, enc) -> tuple[Array, list[int]]:
+    """``ntm.doc_theta`` as one encode of every nonempty document at once."""
+    keep = [i for i, doc in enumerate(corpus.documents) if not doc.is_empty]
+    X = docs_to_matrix([corpus.documents[i] for i in keep], corpus.vocabulary.size)
+    return diffnet.softmax(ntm.encode_batch(X, enc).mu), keep
 
 
 def tokenize(text: str) -> list[str]:

@@ -49,9 +49,12 @@ SCRIPT = textwrap.dedent("""
 
     tracer.active = True
     stats = evaluate.CooccurrenceStats.from_corpus(docs)
+    topic_stats = evaluate.CooccurrenceStats.from_corpus(docs, topics=[[0, 1, 2], [3, 4]])
     tracer.active = False
     spans = [s for s in tracer.spans if s[0] == "evaluate.cooccurrence"]
-    assert len(spans) == 1 and spans[0][5] == len(stats.pair_doc_freq) > 0, spans
+    assert len(spans) == 2, spans
+    assert spans[0][5] == len(stats.pair_doc_freq) > spans[1][5], spans
+    assert spans[1][5] == len(topic_stats.pair_doc_freq) > 0, spans
     print("ok")
 """)
 

@@ -38,7 +38,7 @@ class TestCooccurrenceStats:
         with pytest.raises(DataError):
             evaluate.CooccurrenceStats.from_corpus(corpus)
         with pytest.raises(DataError):
-            evaluate.CooccurrenceStats.from_corpus(corpus, words=[0, 1])
+            evaluate.CooccurrenceStats.from_corpus(corpus, topics=[[0, 1]])
 
     def test_matches_pair_loop_oracle_on_word_subsets(self):
         rng = np.random.default_rng(0)
@@ -52,18 +52,19 @@ class TestCooccurrenceStats:
             full = evaluate.CooccurrenceStats.from_corpus(corpus)
             assert (full.doc_count, full.word_doc_freq, full.pair_doc_freq) == (
                 D_ref, word_df, pair_df)
-            # subsets may name words absent from the corpus, and ids past V
-            words = rng.choice(V + 3, size=int(rng.integers(0, V + 4)), replace=False)
-            inside = set(words.tolist())
-            stats = evaluate.CooccurrenceStats.from_corpus(corpus, words=words.tolist())
+            # topics may name words absent from the corpus, and ids past V
+            topics = [rng.choice(V + 3, size=int(rng.integers(0, min(V + 3, 8) + 1)),
+                                 replace=False).tolist()
+                      for _ in range(int(rng.integers(0, 5)))]
+            within = {(a, b) for t in topics for a, b in itertools.combinations(sorted(t), 2)}
+            stats = evaluate.CooccurrenceStats.from_corpus(corpus, topics=topics)
             assert stats.doc_count == D_ref
             assert stats.word_doc_freq == word_df
             assert stats.pair_doc_freq == {
-                (a, b): n for (a, b), n in pair_df.items() if a in inside and b in inside}
-            if len(words) >= 2:
-                topics = [rng.choice(words, size=int(rng.integers(2, len(words) + 1)),
-                                     replace=False).tolist() for _ in range(3)]
-                assert evaluate.npmi(topics, stats) == evaluate.npmi(topics, full)
+                pair: n for pair, n in pair_df.items() if pair in within}
+            scored = [t for t in topics if t]
+            if scored:
+                assert evaluate.npmi(scored, stats) == evaluate.npmi(scored, full)
 
 
 class TestNpmi:
@@ -214,6 +215,14 @@ class TestAlignTopics:
     def test_vocabulary_mismatch(self):
         with pytest.raises(DataError):
             evaluate.align_topics([np.array([1.0])], [np.array([0.5, 0.5])])
+
+    def test_negative_entry_raises(self):
+        # sums to 1, so only the sign check can catch it
+        good = [np.array([0.5, 0.5]), np.array([0.2, 0.8])]
+        bad = np.array([1.25, -0.25])
+        for A, B in (([bad], good), (good, good + [bad])):
+            with pytest.raises(ValueError):
+                evaluate.align_topics(A, B, threshold=float("inf"))
 
     def test_sorted_pass_matches_free_set_loop(self):
         # duplicated distributions give tied scores; the (i, j) order breaks them

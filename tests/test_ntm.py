@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,24 @@ class TestTopWords:
         with pytest.raises(ValueError):
             ntm.top_words(dec, ["aa", "bb"], n=3)
 
+    def test_matches_per_topic_sort_oracle(self):
+        # few distinct weights, with 0.0 and -0.0 among them, force ties
+        rng = np.random.default_rng(12)
+        values = np.array([0.0, -0.0, 0.25, -0.25, 1e-300, 3.5])
+        letters = list("abcdefghij")
+        for _ in range(300):
+            T, V = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+            words = set()
+            while len(words) < V:
+                words.add("".join(rng.choice(letters, size=int(rng.integers(1, 4)))))
+            words = rng.permutation(sorted(words)).tolist()
+            beta = rng.choice(values, size=(T, V))
+            if rng.random() < 0.3:
+                beta = beta + rng.standard_normal((T, V)) * (rng.random((T, V)) < 0.5)
+            dec = ntm.DecoderParams(beta=beta, b_dec=np.zeros(V))
+            n = int(rng.integers(1, V + 1))
+            assert ntm.top_words(dec, words, n) == oracles.top_words(beta, words, n)
+
 
 class TestDocTheta:
     def test_rows_are_distributions(self):
@@ -209,3 +231,58 @@ class TestDocTheta:
         theta, keep = ntm.doc_theta(corpus, enc)
         assert keep == [0, 2]
         np.testing.assert_allclose(theta.sum(axis=1), [1.0, 1.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blocks_match_one_whole_encode(self, threads):
+        # in a subprocess, because the BLAS thread count is fixed at import
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", BLOCKED_THETA], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["515", "2", "515", "2", "100", "1"]
+
+
+# doc_theta on 2R + 3 and on fewer than R nonempty documents, with empty
+# documents interleaved, against one encode_batch of all of them; prints
+# each corpus's row count and number of encode blocks.
+BLOCKED_THETA = """
+import numpy as np
+import oracles
+from paretopic import ntm
+from paretopic.corpus import BowDocument, Corpus, Vocabulary
+
+R = ntm.THETA_BLOCK_ROWS
+encode_batch = ntm.encode_batch
+rows = []
+
+
+def counted(X, enc):
+    rows.append(len(X))
+    return encode_batch(X, enc)
+
+
+rng = np.random.default_rng(5)
+for V, n in ((200, 2 * R + 3), (2000, 2 * R + 3), (200, 100)):
+    docs = []
+    for _ in range(n):
+        words = rng.choice(V, size=int(rng.integers(1, 40)), replace=False)
+        docs.append(BowDocument(counts=dict(zip(words.tolist(),
+                                                rng.integers(1, 6, len(words)).tolist()))))
+        if rng.random() < 0.1:
+            docs.append(BowDocument(counts={}))
+    corpus = Corpus(documents=docs, vocabulary=Vocabulary(words=[f"w{i}" for i in range(V)],
+                                                          df=[1] * V))
+    enc, _ = ntm.init_params(V, 100, 50, rng)
+    ref, ref_keep = oracles.doc_theta(corpus, enc)
+    rows.clear()
+    ntm.encode_batch = counted
+    theta, keep = ntm.doc_theta(corpus, enc)
+    ntm.encode_batch = encode_batch
+    assert keep == ref_keep
+    assert min(rows) >= min(R, len(keep)) and sum(rows) == len(keep), rows
+    assert np.array_equal(theta, ref), (V, n)
+    print(len(keep), len(rows))
+"""
