@@ -123,10 +123,10 @@ def print_resolved_config(config: trainer.TrainConfig) -> None:
         print(f"{key} = {getattr(config, f.name)}")
 
 
-def _load_vocab_corpus(corpus_path, vocab_path, split_tag="train"):
+def _load_vocab_corpus(corpus_path, vocab_path):
     vocab = corpus_mod.Vocabulary.load(vocab_path)
     entries = corpus_mod.load_corpus(corpus_path)
-    return corpus_mod.make_corpus(entries, vocab, split_tag=split_tag)
+    return corpus_mod.make_corpus(entries, vocab)
 
 
 def cmd_build_vocab(args) -> int:
@@ -189,7 +189,7 @@ def cmd_eval(args) -> int:
     print(f"# eval topics={args.topics} reference={args.reference}")
     vocab = corpus_mod.Vocabulary.load(args.vocab)
     topics = evaluate.load_topics(args.topics, vocab)
-    reference = _load_vocab_corpus(args.reference, args.vocab, split_tag="test")
+    reference = _load_vocab_corpus(args.reference, args.vocab)
     stats = evaluate.CooccurrenceStats.from_corpus(reference, topics=topics)
     per_topic, mean_npmi = evaluate.npmi(topics, stats)
     td = evaluate.topic_diversity(topics)

@@ -91,7 +91,6 @@ class BowDocument:
 class Corpus:
     documents: list[BowDocument]
     vocabulary: Vocabulary
-    split_tag: str = "train"
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -176,11 +175,10 @@ def load_corpus(path: str, max_malformed_frac: float = 0.01) -> list[tuple[str, 
     return entries
 
 
-def make_corpus(entries: list[tuple[str, object]], vocab: Vocabulary,
-                split_tag: str = "train") -> Corpus:
+def make_corpus(entries: list[tuple[str, object]], vocab: Vocabulary) -> Corpus:
     docs = [vectorize(text, vocab, label=label) for text, label in entries]
     n_empty = sum(d.is_empty for d in docs)
     if n_empty:
         log.warning("%d/%d documents have no in-vocabulary tokens and will be "
                     "skipped during training", n_empty, len(docs))
-    return Corpus(documents=docs, vocabulary=vocab, split_tag=split_tag)
+    return Corpus(documents=docs, vocabulary=vocab)

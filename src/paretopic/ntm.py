@@ -5,8 +5,10 @@ elbo_with_grads / encoder_backward can run without recomputation.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,26 +25,35 @@ DEFAULT_HIDDEN = 100
 THETA_BLOCK_ROWS = 256
 
 
+def _views(flat: Array, shapes) -> list[Array]:
+    """Views of the 1-D vector flat, one per shape, laid out back to back."""
+    offsets = [0, *accumulate(math.prod(shape) for shape in shapes)]
+    if flat.ndim != 1 or flat.size != offsets[-1]:
+        raise ValueError(f"flat vector of shape {flat.shape} does not fit layout ({offsets[-1]})")
+    return [flat[a:b].reshape(shape) for shape, a, b in zip(shapes, offsets, offsets[1:])]
+
+
 class _Params:
-    """Named float64 arrays; the field order is the flat (packed) layout."""
+    """Named float64 arrays, each a view of one vector `flat`, in field order. The fields
+    are frozen: a write into one is a write into `flat`; rebinding one would detach it."""
+
+    def __post_init__(self):
+        flat = np.concatenate([np.ravel(a) for a in self.arrays()], dtype=np.float64)
+        for f, view in zip(fields(self), _views(flat, [np.shape(a) for a in self.arrays()])):
+            object.__setattr__(self, f.name, view)
+        object.__setattr__(self, "flat", flat)
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild the views of a new vector
+        return type(self), tuple(self.arrays())
 
     def arrays(self) -> list[Array]:
         return [getattr(self, f.name) for f in fields(self)]
 
     def copy(self):
-        return type(self)(*(a.copy() for a in self.arrays()))
-
-    def subtract_flat(self, flat: Array) -> None:
-        """In place: subtract from each array its slice of the flat vector."""
-        pos = 0
-        for a in self.arrays():
-            a -= flat[pos:pos + a.size].reshape(a.shape)
-            pos += a.size
-        if pos != flat.size:
-            raise ValueError(f"flat vector length {flat.size} does not match layout ({pos})")
+        return type(self)(*self.arrays())
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderParams(_Params):
     W1: Array
     b1: Array
@@ -52,7 +63,7 @@ class EncoderParams(_Params):
     b_lv: Array
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderParams(_Params):
     beta: Array
     b_dec: Array
@@ -78,35 +89,20 @@ def init_params(V: int, H: int, T: int, rng: np.random.Generator):
     return enc, dec
 
 
-def pack(arrays) -> Array:
-    return np.concatenate([np.asarray(a).ravel() for a in arrays])
-
-
-def unpack(flat: Array, shapes) -> list[Array]:
-    out, pos = [], 0
-    for shape in shapes:
-        n = int(np.prod(shape))
-        out.append(flat[pos:pos + n].reshape(shape).copy())
-        pos += n
-    if pos != flat.size:
-        raise ValueError(f"flat vector length {flat.size} does not match layout ({pos})")
-    return out
-
-
 def pack_encoder(enc: EncoderParams) -> Array:
-    return pack(enc.arrays())
+    return enc.flat.copy()
 
 
 def unpack_encoder(flat: Array, V: int, H: int, T: int) -> EncoderParams:
-    return EncoderParams(*unpack(flat, encoder_shapes(V, H, T)))
+    return EncoderParams(*_views(np.asarray(flat), encoder_shapes(V, H, T)))
 
 
 def pack_decoder(dec: DecoderParams) -> Array:
-    return pack(dec.arrays())
+    return dec.flat.copy()
 
 
 def unpack_decoder(flat: Array, V: int, T: int) -> DecoderParams:
-    return DecoderParams(*unpack(flat, decoder_shapes(V, T)))
+    return DecoderParams(*_views(np.asarray(flat), decoder_shapes(V, T)))
 
 
 def docs_to_matrix(docs: Iterable[BowDocument], V: int) -> Array:
@@ -149,18 +145,20 @@ def encode_batch(Xc: Array, enc: EncoderParams) -> EncodeCache:
 
 def encoder_backward(cache: EncodeCache, enc: EncoderParams,
                      dmu: Array, dlogvar: Array) -> Array:
-    """Backward through the encoder; returns the flat encoder gradient."""
+    """Backward through the encoder; returns the gradient in the layout of enc.flat."""
+    grad = np.empty(enc.flat.size)
+    dW1, db1, dW_mu, db_mu, dW_lv, db_lv = _views(grad, [a.shape for a in enc.arrays()])
     mask = (np.abs(cache.lv_raw) < LOGVAR_CLAMP).astype(float)
     dlv_raw = dlogvar * mask
-    dW_mu = cache.h.T @ dmu
-    db_mu = dmu.sum(axis=0)
-    dW_lv = cache.h.T @ dlv_raw
-    db_lv = dlv_raw.sum(axis=0)
+    np.matmul(cache.h.T, dmu, out=dW_mu)
+    dmu.sum(axis=0, out=db_mu)
+    np.matmul(cache.h.T, dlv_raw, out=dW_lv)
+    dlv_raw.sum(axis=0, out=db_lv)
     dh = dmu @ enc.W_mu.T + dlv_raw @ enc.W_lv.T
     da1 = diffnet.softplus_backward(cache.a1, dh)
-    dW1 = cache.Xn.T @ da1
-    db1 = da1.sum(axis=0)
-    return pack([dW1, db1, dW_mu, db_mu, dW_lv, db_lv])
+    np.matmul(cache.Xn.T, da1, out=dW1)
+    da1.sum(axis=0, out=db1)
+    return grad
 
 
 def reparameterize(mu: Array, logvar: Array, eps: Array) -> Array:
@@ -185,7 +183,7 @@ class ElboResult:
 def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
                     eps: Array, want_grads: bool = True,
                     cache: EncodeCache | None = None) -> ElboResult:
-    """Mean over the batch of (reconstruction + KL), with flat gradients.
+    """Mean over the batch of (reconstruction + KL), with gradients laid out as enc.flat, dec.flat.
 
     eps is the fixed standard-normal draw for the reparameterized sample.
     """
@@ -209,8 +207,10 @@ def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
     # reconstruction backward
     row_tot = Xc.sum(axis=1, keepdims=True)
     dlogits = (np.exp(lp) * row_tot - Xc) / B
-    dbeta = theta.T @ dlogits
-    db_dec = dlogits.sum(axis=0)
+    g_dec = np.empty(dec.flat.size)
+    dbeta, db_dec = _views(g_dec, [a.shape for a in dec.arrays()])
+    np.matmul(theta.T, dlogits, out=dbeta)
+    dlogits.sum(axis=0, out=db_dec)
     dtheta = dlogits @ dec.beta.T
     dz = diffnet.softmax_backward(theta, dtheta)
     dmu, dlogvar = reparameterize_backward(dz, eps, logvar)
@@ -218,7 +218,6 @@ def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
     dmu += mu / B
     dlogvar += 0.5 * (var - 1.0) / B
     g_enc = encoder_backward(cache, enc, dmu, dlogvar)
-    g_dec = pack([dbeta, db_dec])
     return ElboResult(loss=loss, recon=recon, kl=kl, g_enc=g_enc, g_dec=g_dec)
 
 

@@ -177,8 +177,8 @@ def train_step(batch_rows: Array, state: ModelState, data: TrainData,
         params={"linear_alpha": config.linear_alpha, "tie_eps": config.tie_eps},
         rng=rng, losses=(inf_loss, elbo.loss))
 
-    state.enc.subtract_flat(config.learning_rate * decision.direction)
-    state.dec.subtract_flat(config.learning_rate * elbo.g_dec)
+    np.subtract(state.enc.flat, config.learning_rate * decision.direction, out=state.enc.flat)
+    np.subtract(state.dec.flat, config.learning_rate * elbo.g_dec, out=state.dec.flat)
 
     return {
         "step": step,
@@ -289,9 +289,11 @@ def load_checkpoint(path: str, expect_vocab_hash: str | None = None) -> ModelSta
         dec = _params_from_json(ntm.DecoderParams, doc["decoder"],
                                 ntm.decoder_shapes(V, T), path)
         rng_state = doc["rng_state"]
-        bitgen = getattr(np.random, rng_state["bit_generator"])()
-        bitgen.state = rng_state
-        rng = np.random.Generator(bitgen)
+        bitgen = getattr(np.random, rng_state["bit_generator"], None)
+        if not (isinstance(bitgen, type) and issubclass(bitgen, np.random.BitGenerator)):
+            raise DataError(f"checkpoint {path}: rng_state names no numpy bit generator")
+        rng = np.random.Generator(bitgen())
+        rng.bit_generator.state = rng_state
         return ModelState(enc=enc, dec=dec, V=V, H=H, T=T,
                           vocab_hash=doc["vocab_hash"], rng=rng)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:

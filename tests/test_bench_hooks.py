@@ -38,6 +38,15 @@ SCRIPT = textwrap.dedent("""
     state = trainer.load_checkpoint(model, expect_vocab_hash=vocab.content_hash())
     assert (state.V, state.H, state.T) == (V, 8, inputs.PLANTED_T)
 
+    # the benchmark permutes the topics of a checkpoint the program wrote
+    saved, permuted = os.path.join(work, "saved.json"), os.path.join(work, "permuted.json")
+    trainer.save_checkpoint(state, saved)
+    perm = np.roll(np.arange(state.T), 1)
+    inputs.permuted_checkpoint(saved, permuted, perm)
+    moved = trainer.load_checkpoint(permuted, expect_vocab_hash=vocab.content_hash())
+    assert np.array_equal(moved.dec.beta[perm], state.dec.beta)
+    assert np.array_equal(moved.enc.W_mu[:, perm], state.enc.W_mu)
+
     inputs.tfidf_cache(cache, counts, words, rng)
     triples = augment.load_augmentations(cache, len(docs.documents))
     data = trainer.prepare_training_data(docs, triples)

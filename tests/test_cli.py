@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from paretopic import cli, trainer
@@ -176,6 +177,31 @@ class TestExitCodes:
         assert cli.main(["probe", "--checkpoint", str(ckpt), "--vocab", vocab_path,
                          "--text-a", "apple", "--text-b", "orbit"]) == cli.EXIT_DATA
         assert "W_mu has shape (8, 4), expected (8, 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["seed", "default_rng"])
+    def test_rng_name_not_a_bit_generator_is_data_error(self, workdir, capsys, name):
+        """The checkpoint names a numpy.random function, not a bit generator:
+        a data error, raised without calling it (np.random.seed() would reseed
+        the global RNG)."""
+        vocab_path, ckpt = str(workdir / "vocab.json"), workdir / "model.json"
+        assert cli.main(["build-vocab", "--input", str(workdir / "corpus.jsonl"),
+                         "--output", vocab_path, "--min-df", "1", "--max-df-frac", "1.0"]) == 0
+        vocab = Vocabulary.load(vocab_path)
+        cfg = trainer.TrainConfig(seed=0, num_topics=3, hidden=8)
+        trainer.save_checkpoint(trainer.init_state(vocab.size, cfg, vocab.content_hash()),
+                                str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        doc["rng_state"]["bit_generator"] = name
+        ckpt.write_text(json.dumps(doc))
+        np.random.seed(5)
+        before = np.random.get_state()
+        capsys.readouterr()
+        assert cli.main(["topics", "--checkpoint", str(ckpt), "--vocab", vocab_path,
+                         "--output", str(workdir / "topics.txt")]) == cli.EXIT_DATA
+        assert "names no numpy bit generator" in capsys.readouterr().err
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        np.testing.assert_array_equal(before[1], after[1])
 
     def test_duplicate_anchor_in_cache_is_data_error(self, workdir, capsys):
         corpus = str(workdir / "corpus.jsonl")

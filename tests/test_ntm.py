@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -40,13 +43,61 @@ class TestParamsLayout:
 
     def test_unpack_length_mismatch(self):
         with pytest.raises(ValueError):
-            ntm.unpack(np.zeros(10), [(3, 3)])
+            ntm.unpack_encoder(np.zeros(10), 3, 2, 1)
+
+    def test_unpack_rejects_2d_input(self):
+        n = sum(math.prod(s) for s in ntm.decoder_shapes(4, 2))
+        with pytest.raises(ValueError, match=rf"shape \(1, {n}\) does not fit"):
+            ntm.unpack_decoder(np.zeros((1, n)), 4, 2)
+
+    def test_unpack_returns_a_copy(self):
+        enc, _ = ntm.init_params(V=5, H=3, T=2, rng=np.random.default_rng(3))
+        flat = ntm.pack_encoder(enc)
+        enc2 = ntm.unpack_encoder(flat, 5, 3, 2)
+        assert not np.shares_memory(enc2.flat, flat)
+        flat[0] = 99.0
+        assert enc2.W1[0, 0] != 99.0 and enc.W1[0, 0] != 99.0
 
     def test_copy_is_deep(self):
         enc, _ = ntm.init_params(V=4, H=3, T=2, rng=np.random.default_rng(2))
         clone = enc.copy()
         clone.W1[0, 0] = 99.0
         assert enc.W1[0, 0] != 99.0
+
+    def test_fields_are_views_of_flat(self):
+        for params in ntm.init_params(V=6, H=4, T=3, rng=np.random.default_rng(4)):
+            assert params.flat.ndim == 1 and params.flat.dtype == np.float64
+            assert params.flat.size == sum(a.size for a in params.arrays())
+            pos = 0
+            for a in params.arrays():
+                assert np.shares_memory(a, params.flat)
+                a.reshape(-1)[-1] = 7.0  # a write through the field shows in flat
+                assert params.flat[pos + a.size - 1] == 7.0
+                params.flat[pos] = -3.0  # and a write through flat in the field
+                assert a.reshape(-1)[0] == -3.0
+                pos += a.size
+
+    def test_rebinding_a_field_raises(self):
+        enc, dec = ntm.init_params(V=4, H=3, T=2, rng=np.random.default_rng(5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.beta = dec.beta + 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            enc.W1 = np.zeros((4, 3))
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "method"])
+    def test_copies_own_their_flat(self, how):
+        clone_of = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+                    "method": lambda p: p.copy()}[how]
+        for params in ntm.init_params(V=5, H=3, T=2, rng=np.random.default_rng(6)):
+            clone = clone_of(params)
+            assert type(clone) is type(params)
+            np.testing.assert_array_equal(clone.flat, params.flat)
+            assert not np.shares_memory(clone.flat, params.flat)
+            for a, b in zip(clone.arrays(), params.arrays()):
+                assert a.shape == b.shape and np.shares_memory(a, clone.flat)
+            clone.arrays()[0][0, 0] = 99.0
+            assert clone.flat[0] == 99.0 and params.flat[0] != 99.0
 
 
 class TestDocsToMatrix:
@@ -182,9 +233,9 @@ class TestElbo:
         X = sparse_batch(rng, B, V, nnz=4)
         eps = rng.standard_normal((B, T))
         res = ntm.elbo_with_grads(X, enc, dec, eps)
-        grads = ntm.unpack(res.g_enc, ntm.encoder_shapes(V, H, T))
-        np.testing.assert_array_equal(grads[4], np.zeros((H, T)))  # W_lv
-        np.testing.assert_array_equal(grads[5], np.zeros(T))       # b_lv
+        grads = ntm.unpack_encoder(res.g_enc, V, H, T)
+        np.testing.assert_array_equal(grads.W_lv, np.zeros((H, T)))
+        np.testing.assert_array_equal(grads.b_lv, np.zeros(T))
 
 
 class TestTopWords:

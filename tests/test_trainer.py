@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +307,21 @@ class TestCheckpoints:
         np.testing.assert_array_equal(ntm.pack_decoder(final.dec),
                                       ntm.pack_decoder(full_state.dec))
 
+    def test_resume_from_pickled_state_matches_uninterrupted_run(self, tiny_texts):
+        """Pickling rebuilds the parameter views, so training the unpickled
+        state updates its fields and its flat vector alike."""
+        corpus, triples, cfg = tiny_setup(tiny_texts, epochs=2)
+        full, full_records = trainer.fit(corpus, triples, cfg)
+        half, half_records = trainer.fit(corpus, triples, dataclasses.replace(cfg, epochs=1))
+        resumed = pickle.loads(pickle.dumps(half))
+        final, rest_records = trainer.fit(corpus, triples, cfg, state=resumed, start_epoch=1)
+        assert half_records + rest_records == full_records
+        for got, want in ((final.enc, full.enc), (final.dec, full.dec)):
+            np.testing.assert_array_equal(got.flat, want.flat)
+            for a, b in zip(got.arrays(), want.arrays()):
+                assert np.shares_memory(a, got.flat)
+                np.testing.assert_array_equal(a, b)
+
     def test_vocab_hash_check(self, tiny_texts, tmp_path):
         corpus, triples, cfg = tiny_setup(tiny_texts, epochs=0)
         state, _ = trainer.fit(corpus, triples, cfg)
@@ -356,7 +372,7 @@ class TestContrastivePathIsolation:
         for bump in (0.0, 0.5):
             st = copy.deepcopy(state)
             st.rng = np.random.default_rng(123)
-            st.dec.beta = st.dec.beta + bump
+            st.dec.beta[...] += bump
             recs.append(trainer.train_step(np.arange(6), st, data, cfg, step=0))
         assert recs[0]["infonce"] == recs[1]["infonce"]
 
