@@ -16,7 +16,7 @@ import numpy as np
 import requests
 
 from .corpus import BowDocument, Corpus
-from .errors import DataError
+from .errors import DataError, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -195,14 +195,7 @@ def cache_augmentations(triples: list[AugmentedTriple], path: str) -> None:
 def load_augmentations(path: str, corpus_size: int) -> list[AugmentedTriple]:
     triples = []
     line_of: dict[int, int] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read augmentation cache {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path, "augmentation cache"):
         try:
             obj = json.loads(line)
             triple = AugmentedTriple(**obj)
@@ -234,6 +227,8 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
     """
     from .corpus import vectorize
 
+    if method not in ("llm", "tfidf", "dropout"):
+        raise ValueError(f"unknown augmentation method {method!r}: expected llm, tfidf or dropout")
     vocab = corpus.vocabulary
     vocab_hash = vocab.content_hash()
     tfidf = TfidfAugmenter(corpus) if method in ("tfidf", "llm") else None

@@ -16,7 +16,7 @@ import numpy as np
 from . import augment as augment_mod
 from . import corpus as corpus_mod
 from . import diffnet, evaluate, moo, ntm, setcl, trainer
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, read_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,12 +88,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_config_file(path: str) -> dict:
     """Flat key=value config; '#' starts a comment."""
     overrides = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in read_lines(path, "config file"):
         line = raw.split("#", 1)[0].strip()
         if line:
             _apply_config_item(overrides, line, f"{path}:{lineno}")
@@ -337,7 +332,7 @@ def build_parser() -> _Parser:
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--replace-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_REPLACE_FRAC)
     p.add_argument("--drop-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_DROP_FRAC)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("train", help="train the topic model (defaults: K=4 S=8 "
@@ -382,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("probe", help="cosine similarity of two texts' topic vectors")

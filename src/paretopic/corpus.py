@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DataError
+from .errors import DataError, read_json, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -59,11 +59,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read vocabulary file {path}: {exc}") from exc
+        obj = read_json(path, "vocabulary file")
         words, df = (obj.get("words"), obj.get("df")) if isinstance(obj, dict) else (None, None)
         if not (isinstance(words, list) and isinstance(df, list) and len(words) == len(df)
                 and all(isinstance(w, str) for w in words) and all(type(c) is int for c in df)):
@@ -143,16 +139,9 @@ def load_corpus(path: str, max_malformed_frac: float = 0.01) -> list[tuple[str, 
     are reported by line number; the whole load fails if more than
     max_malformed_frac of lines are bad.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     entries: list[tuple[str, object]] = []
     malformed: list[int] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path, "corpus file"):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:

@@ -13,30 +13,13 @@ from .errors import NumericError
 Array = np.ndarray
 
 
-def _as_f64(x) -> Array:
-    return np.asarray(x, dtype=np.float64)
-
-
-def affine(x: Array, W: Array, b: Array) -> Array:
-    """y = x @ W + b for x [B,n], W [n,m], b [1,m] (or [m])."""
-    x, W, b = _as_f64(x), _as_f64(W), _as_f64(b)
-    if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0]:
-        raise ValueError(f"affine shape mismatch: x {x.shape} vs W {W.shape}")
-    b = b.reshape(-1)
-    if b.shape[0] != W.shape[1]:
-        raise ValueError(f"affine bias mismatch: W {W.shape} vs b {b.shape}")
-    return x @ W + b
-
-
 def sigmoid(x: Array) -> Array:
     """1 / (1 + e^-x), from e = exp(-|x|) <= 1 so neither branch overflows."""
-    x = _as_f64(x)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(x: Array) -> Array:
-    x = _as_f64(x)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
@@ -46,7 +29,6 @@ def softplus_backward(x: Array, dy: Array) -> Array:
 
 def softmax(x: Array) -> Array:
     """Rowwise softmax, stabilized by max subtraction."""
-    x = _as_f64(x)
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -58,7 +40,6 @@ def softmax_backward(y: Array, dy: Array) -> Array:
 
 
 def log_softmax(x: Array) -> Array:
-    x = _as_f64(x)
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -71,7 +52,7 @@ def grad_check(loss_and_grad, params: Array, h: float = 1e-5,
     Probes n_probes random coordinates; relative error is
     |a - f| / max(1e-8, |a| + |f|).
     """
-    params = _as_f64(params).copy()
+    params = np.array(params, dtype=np.float64)
     loss0, grad = loss_and_grad(params)
     if not np.isfinite(loss0) or not np.all(np.isfinite(grad)):
         raise NumericError("grad_check: non-finite loss or gradient at the base point")

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import diffnet, ntm
 from .corpus import Corpus, Vocabulary, vectorize
-from .errors import DataError
+from .errors import DataError, read_lines
 
 Array = np.ndarray
 
@@ -248,17 +248,9 @@ def save_topics(topics: list[list[int]], vocab: Vocabulary, path: str) -> None:
 
 def load_topics(path: str, vocab: Vocabulary) -> list[list[int]]:
     topics = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read topics file {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        words = line.split()
-        if not words:
-            continue
+    for lineno, line in read_lines(path, "topics file"):
         row = []
-        for w in words:
+        for w in line.split():
             if w not in vocab.index:
                 raise DataError(f"{path}:{lineno}: word {w!r} is not in the vocabulary")
             row.append(vocab.index[w])

@@ -135,10 +135,10 @@ def encode_batch(Xc: Array, enc: EncoderParams) -> EncodeCache:
     if np.any(sums <= 0):
         raise DataError("encode: batch contains an empty document")
     Xn = Xc / sums
-    a1 = diffnet.affine(Xn, enc.W1, enc.b1)
+    a1 = Xn @ enc.W1 + enc.b1
     h = diffnet.softplus(a1)
-    mu = diffnet.affine(h, enc.W_mu, enc.b_mu)
-    lv_raw = diffnet.affine(h, enc.W_lv, enc.b_lv)
+    mu = h @ enc.W_mu + enc.b_mu
+    lv_raw = h @ enc.W_lv + enc.b_lv
     logvar = np.clip(lv_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP)
     return EncodeCache(Xn=Xn, a1=a1, h=h, mu=mu, lv_raw=lv_raw, logvar=logvar)
 
@@ -193,7 +193,7 @@ def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
     mu, logvar = cache.mu, cache.logvar
     z = reparameterize(mu, logvar, eps)
     theta = diffnet.softmax(z)
-    logits = diffnet.affine(theta, dec.beta, dec.b_dec)
+    logits = theta @ dec.beta + dec.b_dec
     lp = diffnet.log_softmax(logits)
     recon = float(-(Xc * lp).sum() / B)
     var = np.exp(logvar)

@@ -16,7 +16,7 @@ import numpy as np
 from . import moo, ntm, setcl
 from .augment import AugmentedTriple
 from .corpus import BowDocument, Corpus, vectorize
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, read_json
 
 Array = np.ndarray
 
@@ -42,6 +42,8 @@ class TrainConfig:
     include_own_negative: bool = False
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed}")
         if self.num_topics < 1 or self.hidden < 1:
             raise ConfigError("num_topics and hidden must be positive")
         if self.batch_size < 1 or self.epochs < 0:
@@ -159,10 +161,11 @@ def train_step(batch_rows: Array, state: ModelState, data: TrainData,
         *(z for _, _, z in views), members, config.temperature,
         pool_positive=config.pool_positive, pool_negative=config.pool_negative,
         include_own_negative=config.include_own_negative)
-    g_views = [ntm.encoder_backward(cache, state.enc,
-                                    *ntm.reparameterize_backward(dz, eps, cache.logvar))
-               for (cache, eps, _), dz in zip(views, dzs)]
-    g_inf = g_views[0] + g_views[1] + g_views[2]
+    g_inf, g_pos, g_neg = (
+        ntm.encoder_backward(cache, state.enc, *ntm.reparameterize_backward(dz, eps, cache.logvar))
+        for (cache, eps, _), dz in zip(views, dzs))
+    g_inf += g_pos
+    g_inf += g_neg
 
     cache_x, eps_x, _ = views[0]
     elbo = ntm.elbo_with_grads(Xb, state.enc, state.dec, eps_x, cache=cache_x)
@@ -270,11 +273,7 @@ def save_checkpoint(state: ModelState, path: str) -> None:
 
 
 def load_checkpoint(path: str, expect_vocab_hash: str | None = None) -> ModelState:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    doc = read_json(path, "checkpoint")
     if not isinstance(doc, dict):
         raise DataError(f"checkpoint {path} is malformed: not a JSON object")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:

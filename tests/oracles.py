@@ -17,14 +17,6 @@ from paretopic.errors import DataError, NumericError
 Array = np.ndarray
 
 
-def affine_backward(x: Array, W: Array, dy: Array):
-    """Given upstream dL/dy of y = x @ W + b, return (dL/dx, dL/dW, dL/db)."""
-    dx = dy @ W.T
-    dW = x.T @ dy
-    db = dy.sum(axis=0)
-    return dx, dW, db
-
-
 def sigmoid(x: Array) -> Array:
     """Logistic function by boolean-mask indexing, one branch per sign."""
     out = np.empty_like(x, dtype=np.float64)

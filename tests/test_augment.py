@@ -259,6 +259,10 @@ class TestBuildCache:
         assert all(t.method == "tfidf" for t in triples)
         assert all(t.vocab_hash == corpus.vocabulary.content_hash() for t in triples)
 
+    def test_unknown_method_is_rejected(self, corpus):
+        with pytest.raises(ValueError, match="'tfdif': expected llm, tfidf or dropout"):
+            build_augmentation_cache(corpus, method="tfdif")
+
     def test_views_are_the_augmented_bags_of_words(self, corpus):
         """A TF-IDF view is written as the augmenter's counts, keyed by word."""
         vocab = corpus.vocabulary

@@ -113,6 +113,15 @@ class TestExitCodes:
         assert cli.main(args) == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [["--seed", "-1"], ["--set", "train.seed=-1"]],
+                             ids=["flag", "config"])
+    def test_negative_train_seed_is_usage_error_before_any_read(self, tmp_path, capsys, seed):
+        # none of the files exists: the seed must be rejected before any read
+        code = cli.main(["train", "--input", str(tmp_path / "corpus.jsonl"), "--vocab", "v.json",
+                         "--cache", "c.jsonl", "--checkpoint", str(tmp_path / "ck.json"), *seed])
+        assert code == cli.EXIT_USAGE
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args, message", [
         (["build-vocab", "--max-size", "-1"], "expected an integer >= 1, got '-1'"),
         (["build-vocab", "--max-size", "0"], "expected an integer >= 1, got '0'"),
@@ -127,14 +136,17 @@ class TestExitCodes:
          "expected an integer >= 1, got '0'"),
         (["align", "--checkpoint-a", "a.json", "--checkpoint-b", "b.json", "--vocab", "v.json",
           "--threshold", "nan"], "expected a number >= 0, got 'nan'"),
+        (["augment", "--vocab", "v.json", "--seed", "-1"], "expected an integer >= 0, got '-1'"),
+        (["classify", "--vocab", "v.json", "--checkpoint", "ck.json", "--seed", "-1"],
+         "expected an integer >= 0, got '-1'"),
     ], ids=["max-size-negative", "max-size-zero", "max-df-frac-above-one",
             "replace-frac-above-one", "drop-frac-zero", "top-n-negative", "top-n-zero",
-            "threshold-nan"])
+            "threshold-nan", "augment-seed-negative", "classify-seed-negative"])
     def test_out_of_range_flag_is_usage_error_before_any_read(self, tmp_path, capsys,
                                                               args, message):
         # none of the files exists: the flag must be rejected before any read
         out = ["--output", str(tmp_path / "out")]
-        if args[0] in ("build-vocab", "augment"):
+        if args[0] in ("build-vocab", "augment", "classify"):
             out += ["--input", str(tmp_path / "corpus.jsonl")]
         assert cli.main(args + out) == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
@@ -247,24 +259,51 @@ class TestExitCodes:
             "cache-count-true", "cache-count-float", "cache-empty-map", "corpus-text-int",
             "corpus-label-list"])
     def test_malformed_json_is_data_error(self, workdir, capsys, target, edit, command):
-        corpus, vocab = str(workdir / "corpus.jsonl"), str(workdir / "vocab.json")
-        cache, ckpt = str(workdir / "aug.jsonl"), str(workdir / "ck.json")
-        argv = {
-            "build-vocab": ["build-vocab", "--input", corpus, "--output", vocab,
-                            "--min-df", "1", "--max-df-frac", "1.0"],
-            "topics": ["topics", "--checkpoint", ckpt, "--vocab", vocab,
-                       "--output", str(workdir / "topics.json")],
-            "train": ["train", "--input", corpus, "--vocab", vocab, "--cache", cache,
-                      "--checkpoint", ckpt, "--seed", "1"],
-        }
-        assert cli.main(argv["build-vocab"]) == 0
-        assert cli.main(["augment", "--input", corpus, "--vocab", vocab,
-                         "--output", cache, "--mode", "tfidf", "--seed", "0"]) == 0
+        argv = reader_argv(workdir)
         path = workdir / target
         path.write_text(edit(path.read_text() if path.exists() else ""))
         capsys.readouterr()
         assert cli.main(argv[command]) == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, what, command", [
+        ("corpus.jsonl", "corpus file", "build-vocab"),
+        ("c.cfg", "config file", "train-config"),
+        ("vocab.json", "vocabulary file", "topics"),
+        ("aug.jsonl", "augmentation cache", "train"),
+        ("topics.txt", "topics file", "eval"),
+        ("ck.json", "checkpoint", "topics"),
+    ], ids=["corpus", "config", "vocabulary", "cache", "topics", "checkpoint"])
+    def test_undecodable_input_is_data_error(self, workdir, capsys, target, what, command):
+        argv = reader_argv(workdir)
+        path = workdir / target
+        path.write_bytes((path.read_bytes() if path.exists() else b"") + b"\xff\n")
+        capsys.readouterr()
+        assert cli.main(argv[command]) == cli.EXIT_DATA
+        assert f"data error: cannot read {what} {path}: " in capsys.readouterr().err
+
+
+def reader_argv(workdir) -> dict:
+    """Write a vocabulary and an augmentation cache of the workdir corpus; return the
+    argv of each command that reads them, keyed by command."""
+    corpus, vocab = str(workdir / "corpus.jsonl"), str(workdir / "vocab.json")
+    cache, ckpt = str(workdir / "aug.jsonl"), str(workdir / "ck.json")
+    train = ["train", "--input", corpus, "--vocab", vocab, "--cache", cache,
+             "--checkpoint", ckpt, "--seed", "1"]
+    argv = {
+        "build-vocab": ["build-vocab", "--input", corpus, "--output", vocab,
+                        "--min-df", "1", "--max-df-frac", "1.0"],
+        "topics": ["topics", "--checkpoint", ckpt, "--vocab", vocab,
+                   "--output", str(workdir / "topics.json")],
+        "eval": ["eval", "--topics", str(workdir / "topics.txt"), "--vocab", vocab,
+                 "--reference", corpus, "--output", str(workdir / "eval.json")],
+        "train": train,
+        "train-config": train + ["--config", str(workdir / "c.cfg")],
+    }
+    assert cli.main(argv["build-vocab"]) == 0
+    assert cli.main(["augment", "--input", corpus, "--vocab", vocab,
+                     "--output", cache, "--mode", "tfidf", "--seed", "0"]) == 0
+    return argv
 
 
 def edit_first_record(jsonl: str, **changes) -> str:

@@ -25,29 +25,6 @@ def fd_grad(fn, x, h=1e-6):
     return g
 
 
-class TestAffine:
-    def test_forward_example(self):
-        y = diffnet.affine(np.array([[1.0, 2.0]]), np.array([[1.0], [3.0]]),
-                           np.array([0.5]))
-        assert y.tolist() == [[7.5]]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            diffnet.affine(np.ones((2, 3)), np.ones((4, 2)), np.zeros(2))
-
-    def test_backward_matches_fd(self):
-        x = RNG.standard_normal((3, 4))
-        W = RNG.standard_normal((4, 2))
-        b = RNG.standard_normal(2)
-        dy = RNG.standard_normal((3, 2))
-        dx, dW, db = oracles.affine_backward(x, W, dy)
-        loss_x = lambda xv: float((diffnet.affine(xv, W, b) * dy).sum())
-        loss_W = lambda Wv: float((diffnet.affine(x, Wv, b) * dy).sum())
-        np.testing.assert_allclose(dx, fd_grad(loss_x, x), atol=1e-6)
-        np.testing.assert_allclose(dW, fd_grad(loss_W, W), atol=1e-6)
-        np.testing.assert_allclose(db, dy.sum(axis=0))
-
-
 class TestActivations:
     def test_softplus_values(self):
         np.testing.assert_allclose(diffnet.softplus(np.array([0.0])), [np.log(2.0)])
