@@ -13,9 +13,8 @@ import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import requests
 
-from .corpus import BowDocument, Corpus
+from .corpus import BowDocument, Corpus, vectorize
 from .errors import DataError, read_lines
 
 log = logging.getLogger(__name__)
@@ -66,29 +65,34 @@ def llm_augment(doc_text: str, polarity: str, endpoint: str,
 
     Retries with exponential backoff (max_attempts total) before raising.
     """
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen  # only llm mode loads the HTTP client
+
     if polarity not in ("related", "unrelated"):
         raise ValueError(f"polarity must be 'related' or 'unrelated', got {polarity!r}")
+    if not endpoint.lower().startswith(("http://", "https://")):
+        raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
     if not doc_text:
         raise DataError("llm_augment: empty document text")
     if api_key is None:
         api_key = os.environ.get(API_KEY_ENV, "")
     prompt = PROMPT_TEMPLATE.format(polarity=polarity, text=doc_text)
-    payload = {
-        "model": model,
-        "messages": [{"role": "user", "content": prompt}],
-    }
-    headers = {"Authorization": f"Bearer {api_key}"}
+    payload = json.dumps({"model": model, "messages": [{"role": "user", "content": prompt}]})
+    request = Request(endpoint, data=payload.encode(), method="POST", headers={
+        "Content-Type": "application/json", "Authorization": f"Bearer {api_key}"})
     last_error = None
     for attempt in range(max_attempts):
         if attempt:
             time.sleep(backoff * 2 ** (attempt - 1))
-        try:
-            resp = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
-            resp.raise_for_status()
-            body = resp.json()
+        try:  # urlopen raises HTTPError, an OSError, for every status >= 400
+            with urlopen(request, timeout=timeout) as resp:
+                body = json.load(resp)
             text = body["choices"][0]["message"]["content"]
-        except (requests.RequestException, ValueError, KeyError, IndexError, TypeError) as exc:
+        except (OSError, HTTPException, ValueError, KeyError, IndexError, TypeError) as exc:
             last_error = exc
+            if isinstance(exc, HTTPError):
+                exc.close()  # an error status keeps its response, and its socket, open
             log.warning("llm_augment attempt %d/%d failed for doc %s: %s",
                         attempt + 1, max_attempts, doc_id, exc)
             continue
@@ -225,8 +229,6 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
     Any augmentation that is, or would vectorize to, an empty document is
     regenerated with the dropout fallback.
     """
-    from .corpus import vectorize
-
     if method not in ("llm", "tfidf", "dropout"):
         raise ValueError(f"unknown augmentation method {method!r}: expected llm, tfidf or dropout")
     vocab = corpus.vocabulary

@@ -329,7 +329,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["llm", "tfidf", "dropout"], default="tfidf")
     p.add_argument("--endpoint", help="chat-completions endpoint URL (llm mode)")
     p.add_argument("--model", default="gpt-3.5-turbo")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=_checked(float, lambda v: 0.0 < v < float("inf"),
+                                              "a finite number > 0"), default=30.0)
     p.add_argument("--replace-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_REPLACE_FRAC)
     p.add_argument("--drop-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_DROP_FRAC)
     p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0)

@@ -19,9 +19,9 @@ class NumericError(ParetopicError):
 
 
 def read_lines(path: str, what: str) -> list[tuple[int, str]]:
-    """(line number, line) of each nonblank line of the UTF-8 text file path."""
+    """(line number, line) of each nonblank line of the UTF-8 text file path, BOM or not."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()  # one read: line-by-line reading moves glibc's heap thresholds
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
@@ -29,9 +29,9 @@ def read_lines(path: str, what: str) -> list[tuple[int, str]]:
 
 
 def read_json(path: str, what: str):
-    """The JSON document in the UTF-8 text file path."""
+    """The JSON document in the UTF-8 text file path, BOM or not."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc

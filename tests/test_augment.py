@@ -1,10 +1,16 @@
+import gc
+import io
 import itertools
 import json
+import logging
+import os
+import threading
+import urllib.error
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
 
 import numpy as np
 import pytest
-import requests
 
 import oracles
 from paretopic import augment
@@ -37,17 +43,15 @@ class TestAugmentedTriple:
 
 
 def fake_response(status=200, body=None, bad_json=False):
-    resp = mock.Mock()
-    resp.status_code = status
+    """What urlopen returns for a chat body, or raises for an HTTP status >= 400."""
     if status >= 400:
-        resp.raise_for_status.side_effect = requests.HTTPError(f"{status}")
-    else:
-        resp.raise_for_status.return_value = None
-    if bad_json:
-        resp.json.side_effect = ValueError("not json")
-    else:
-        resp.json.return_value = body
-    return resp
+        return urllib.error.HTTPError("http://x", status, "error", {}, io.BytesIO())
+    return io.BytesIO(b"{not json" if bad_json else json.dumps(body).encode())
+
+
+def stub_urlopen(*responses):
+    """Patch urlopen to answer each call with the next response, raising it if an error."""
+    return mock.patch("urllib.request.urlopen", side_effect=responses)
 
 
 def chat_body(text):
@@ -56,49 +60,48 @@ def chat_body(text):
 
 class TestLlmAugment:
     def test_success_first_attempt(self):
-        with mock.patch.object(augment.requests, "post",
-                               return_value=fake_response(body=chat_body("a cat"))) as post:
-            out = llm_augment("dog text", "related", endpoint="http://x", api_key="k")
+        with stub_urlopen(fake_response(body=chat_body("a cat"))) as urlopen:
+            out = llm_augment("dog text", "related", endpoint="http://x", api_key="k",
+                              timeout=7.0)
         assert out == "a cat"
-        assert post.call_count == 1
-        payload = post.call_args.kwargs["json"]
+        assert urlopen.call_count == 1
+        request = urlopen.call_args.args[0]
+        assert request.get_method() == "POST"
+        assert urlopen.call_args.kwargs["timeout"] == 7.0
+        payload = json.loads(request.data)
         assert "related" in payload["messages"][0]["content"]
         assert "dog text" in payload["messages"][0]["content"]
-        assert post.call_args.kwargs["headers"]["Authorization"] == "Bearer k"
+        assert request.get_header("Authorization") == "Bearer k"
+        assert request.get_header("Content-type") == "application/json"
 
     def test_retries_then_succeeds(self):
-        responses = [fake_response(status=500),
-                     fake_response(body=chat_body("ok"))]
-        with mock.patch.object(augment.requests, "post", side_effect=responses) as post, \
+        with stub_urlopen(fake_response(status=500),
+                          fake_response(body=chat_body("ok"))) as urlopen, \
                 mock.patch.object(augment.time, "sleep") as sleep:
             out = llm_augment("t", "unrelated", endpoint="http://x", backoff=2.0)
         assert out == "ok"
-        assert post.call_count == 2
+        assert urlopen.call_count == 2
         sleep.assert_called_once_with(2.0)
 
     def test_exponential_backoff_then_failure(self):
-        with mock.patch.object(augment.requests, "post",
-                               return_value=fake_response(status=503)) as post, \
+        with stub_urlopen(*(fake_response(status=503) for _ in range(3))) as urlopen, \
                 mock.patch.object(augment.time, "sleep") as sleep:
             with pytest.raises(LlmAugmentError) as exc:
                 llm_augment("t", "related", endpoint="http://x", doc_id=17,
                             max_attempts=3, backoff=1.0)
-        assert post.call_count == 3
+        assert urlopen.call_count == 3
         assert [c.args[0] for c in sleep.call_args_list] == [1.0, 2.0]
         assert exc.value.doc_id == 17
 
     def test_non_text_completion_raises_without_retry(self):
-        with mock.patch.object(augment.requests, "post",
-                               return_value=fake_response(body=chat_body("  "))) as post:
+        with stub_urlopen(fake_response(body=chat_body("  "))) as urlopen:
             with pytest.raises(LlmAugmentError):
                 llm_augment("t", "related", endpoint="http://x")
-        assert post.call_count == 1
+        assert urlopen.call_count == 1
 
     def test_malformed_body_retries(self):
-        responses = [fake_response(body={"nope": 1}),
-                     fake_response(bad_json=True),
-                     fake_response(body=chat_body("fine"))]
-        with mock.patch.object(augment.requests, "post", side_effect=responses), \
+        with stub_urlopen(fake_response(body={"nope": 1}), fake_response(bad_json=True),
+                          fake_response(body=chat_body("fine"))), \
                 mock.patch.object(augment.time, "sleep"):
             assert llm_augment("t", "related", endpoint="http://x") == "fine"
 
@@ -106,12 +109,62 @@ class TestLlmAugment:
         with pytest.raises(ValueError):
             llm_augment("t", "sideways", endpoint="http://x")
 
+    def test_file_endpoint_is_refused_before_any_attempt(self):
+        # urlopen would read a local file for a file:// URL
+        with stub_urlopen() as urlopen:
+            with pytest.raises(ValueError, match="http:// or https://"):
+                llm_augment("t", "related", endpoint="file:///chat.json")
+        assert urlopen.call_count == 0
+
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv(augment.API_KEY_ENV, "envkey")
-        with mock.patch.object(augment.requests, "post",
-                               return_value=fake_response(body=chat_body("x"))) as post:
+        with stub_urlopen(fake_response(body=chat_body("x"))) as urlopen:
             llm_augment("t", "related", endpoint="http://x")
-        assert post.call_args.kwargs["headers"]["Authorization"] == "Bearer envkey"
+        assert urlopen.call_args.args[0].get_header("Authorization") == "Bearer envkey"
+
+    @pytest.mark.filterwarnings("error")  # an unclosed socket is a ResourceWarning
+    def test_loopback_request(self, monkeypatch, caplog):
+        """The real request against a local server: a 503 first, then a chat body."""
+        caplog.set_level(logging.ERROR, augment.__name__)  # a kept log record holds the error
+        for name in [n for n in os.environ if n.lower().endswith("_proxy")]:
+            monkeypatch.delenv(name)
+        seen = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                seen.append((self.headers, json.loads(self.rfile.read(length))))
+                if len(seen) == 1:
+                    self.send_error(503)
+                    return
+                reply = json.dumps(chat_body("a served view")).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            out = llm_augment("dog text", "unrelated", api_key="k", backoff=0, timeout=10,
+                              endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        gc.collect()  # an unclosed error response is freed here, and its warning fails the test
+        assert out == "a served view"
+        assert len(seen) == 2
+        headers, payload = seen[1]
+        assert payload["messages"][0]["content"] == augment.PROMPT_TEMPLATE.format(
+            polarity="unrelated", text="dog text")
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer k"
 
 
 class TestTfidfAugmenter:

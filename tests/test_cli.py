@@ -1,10 +1,15 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paretopic import cli, trainer
-from paretopic.corpus import Vocabulary
+from paretopic import augment, cli, evaluate, trainer
+from paretopic.corpus import Vocabulary, load_corpus
 from paretopic.errors import ConfigError
 
 
@@ -139,9 +144,18 @@ class TestExitCodes:
         (["augment", "--vocab", "v.json", "--seed", "-1"], "expected an integer >= 0, got '-1'"),
         (["classify", "--vocab", "v.json", "--checkpoint", "ck.json", "--seed", "-1"],
          "expected an integer >= 0, got '-1'"),
+        (["augment", "--vocab", "v.json", "--timeout", "0"],
+         "expected a finite number > 0, got '0'"),
+        (["augment", "--vocab", "v.json", "--timeout", "-1"],
+         "expected a finite number > 0, got '-1'"),
+        (["augment", "--vocab", "v.json", "--timeout", "nan"],
+         "expected a finite number > 0, got 'nan'"),
+        (["augment", "--vocab", "v.json", "--timeout", "inf"],
+         "expected a finite number > 0, got 'inf'"),
     ], ids=["max-size-negative", "max-size-zero", "max-df-frac-above-one",
             "replace-frac-above-one", "drop-frac-zero", "top-n-negative", "top-n-zero",
-            "threshold-nan", "augment-seed-negative", "classify-seed-negative"])
+            "threshold-nan", "augment-seed-negative", "classify-seed-negative",
+            "timeout-zero", "timeout-negative", "timeout-nan", "timeout-inf"])
     def test_out_of_range_flag_is_usage_error_before_any_read(self, tmp_path, capsys,
                                                               args, message):
         # none of the files exists: the flag must be rejected before any read
@@ -281,6 +295,60 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(argv[command]) == cli.EXIT_DATA
         assert f"data error: cannot read {what} {path}: " in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("target, load", [
+        ("corpus.jsonl", lambda path, vocab: load_corpus(path)),
+        ("c.cfg", lambda path, vocab: cli.parse_config_file(path)),
+        ("aug.jsonl", lambda path, vocab: augment.load_augmentations(path, 6)),
+        ("vocab.json", lambda path, vocab: Vocabulary.load(path)),
+        ("topics.txt", lambda path, vocab: evaluate.load_topics(path, vocab)),
+        ("ck.json", lambda path, vocab: checkpoint_fields(trainer.load_checkpoint(path))),
+    ], ids=["corpus", "config", "cache", "vocabulary", "topics", "checkpoint"])
+    def test_marked_file_loads_as_unmarked(self, workdir, target, load):
+        reader_argv(workdir)  # writes vocab.json and aug.jsonl
+        vocab = Vocabulary.load(str(workdir / "vocab.json"))
+        (workdir / "c.cfg").write_text("model.T = 3\nsetcl.K=2  # comment\n")
+        (workdir / "topics.txt").write_text(f"{vocab.words[0]} {vocab.words[1]}\n")
+        state = trainer.init_state(vocab.size, trainer.TrainConfig(seed=1, num_topics=3,
+                                                                   hidden=4), "0" * 64)
+        trainer.save_checkpoint(state, str(workdir / "ck.json"))
+        plain = workdir / target
+        marked = workdir / f"marked-{target}"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load(str(marked), vocab) == load(str(plain), vocab)
+
+
+def checkpoint_fields(state) -> tuple:
+    return (state.enc.flat.tolist(), state.dec.flat.tolist(), state.V, state.H, state.T,
+            state.vocab_hash, state.rng.bit_generator.state)
+
+
+def test_cli_imports_no_http_client_and_only_numpy_outside_stdlib():
+    """The CLI loads the HTTP client only when llm augmentation runs, and the program
+    depends on nothing outside the standard library but numpy."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, paretopic.cli; print(sorted({'requests', 'urllib3', "
+             "'urllib.request', 'http.client'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    imported = set()
+    for path in (root / "src" / "paretopic").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names == {"numpy"}
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(root / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [d.split(">")[0].split("=")[0].strip() for d in dependencies] == ["numpy"]
 
 
 def reader_argv(workdir) -> dict:
