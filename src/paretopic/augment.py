@@ -57,6 +57,12 @@ class LlmAugmentError(DataError):
         self.doc_id = doc_id
 
 
+def check_endpoint(endpoint: str) -> None:
+    """Refuse a URL urlopen would not send over HTTP (a file:// one reads a local file)."""
+    if not endpoint.lower().startswith(("http://", "https://")):
+        raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
+
+
 def llm_augment(doc_text: str, polarity: str, endpoint: str,
                 api_key: str | None = None, timeout: float = 30.0,
                 model: str = "gpt-3.5-turbo", doc_id=None,
@@ -71,16 +77,15 @@ def llm_augment(doc_text: str, polarity: str, endpoint: str,
 
     if polarity not in ("related", "unrelated"):
         raise ValueError(f"polarity must be 'related' or 'unrelated', got {polarity!r}")
-    if not endpoint.lower().startswith(("http://", "https://")):
-        raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
+    check_endpoint(endpoint)
     if not doc_text:
         raise DataError("llm_augment: empty document text")
     if api_key is None:
         api_key = os.environ.get(API_KEY_ENV, "")
     prompt = PROMPT_TEMPLATE.format(polarity=polarity, text=doc_text)
     payload = json.dumps({"model": model, "messages": [{"role": "user", "content": prompt}]})
-    request = Request(endpoint, data=payload.encode(), method="POST", headers={
-        "Content-Type": "application/json", "Authorization": f"Bearer {api_key}"})
+    request = Request(endpoint, payload.encode(), {"Content-Type": "application/json"})  # a POST
+    request.add_unredirected_header("Authorization", f"Bearer {api_key}")  # kept off redirects
     last_error = None
     for attempt in range(max_attempts):
         if attempt:

@@ -138,13 +138,17 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_augment(args) -> int:
     print(f"# augment input={args.input} mode={args.mode} seed={args.seed}")
-    corpus = _load_vocab_corpus(args.input, args.vocab)
     llm_options = None
     if args.mode == "llm":
         if not args.endpoint:
             raise ConfigError("--endpoint is required for llm augmentation")
+        try:
+            augment_mod.check_endpoint(args.endpoint)
+        except ValueError as exc:
+            raise ConfigError(f"--endpoint: {exc}") from exc
         llm_options = {"endpoint": args.endpoint, "timeout": args.timeout,
                        "model": args.model}
+    corpus = _load_vocab_corpus(args.input, args.vocab)
     triples = augment_mod.build_augmentation_cache(
         corpus, method=args.mode, replace_frac=args.replace_frac,
         drop_frac=args.drop_frac, rng_seed=args.seed, llm_options=llm_options)

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import itertools
@@ -123,40 +124,23 @@ class TestLlmAugment:
         assert urlopen.call_args.args[0].get_header("Authorization") == "Bearer envkey"
 
     @pytest.mark.filterwarnings("error")  # an unclosed socket is a ResourceWarning
-    def test_loopback_request(self, monkeypatch, caplog):
+    def test_loopback_request(self, no_proxy, caplog):
         """The real request against a local server: a 503 first, then a chat body."""
         caplog.set_level(logging.ERROR, augment.__name__)  # a kept log record holds the error
-        for name in [n for n in os.environ if n.lower().endswith("_proxy")]:
-            monkeypatch.delenv(name)
         seen = []
 
-        class Handler(BaseHTTPRequestHandler):
+        class Handler(QuietHandler):
             def do_POST(self):
                 length = int(self.headers["Content-Length"])
                 seen.append((self.headers, json.loads(self.rfile.read(length))))
                 if len(seen) == 1:
                     self.send_error(503)
                     return
-                reply = json.dumps(chat_body("a served view")).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(reply)))
-                self.end_headers()
-                self.wfile.write(reply)
+                send_json(self, chat_body("a served view"))
 
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serve(Handler) as url:
             out = llm_augment("dog text", "unrelated", api_key="k", backoff=0, timeout=10,
-                              endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat")
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join()
+                              endpoint=f"{url}/v1/chat")
         gc.collect()  # an unclosed error response is freed here, and its warning fails the test
         assert out == "a served view"
         assert len(seen) == 2
@@ -165,6 +149,70 @@ class TestLlmAugment:
             polarity="unrelated", text="dog text")
         assert headers["Content-Type"] == "application/json"
         assert headers["Authorization"] == "Bearer k"
+
+    @pytest.mark.filterwarnings("error")
+    def test_redirect_target_gets_no_api_key(self, no_proxy):
+        """A 302 to a second server is followed without the Authorization header."""
+        posted, redirected = [], []
+
+        class Target(QuietHandler):
+            def do_GET(self):  # urllib follows a 302 after a POST with a GET
+                redirected.append(self.headers)
+                send_json(self, chat_body("a redirected view"))
+
+        with serve(Target) as target_url:
+            class Redirect(QuietHandler):
+                def do_POST(self):
+                    posted.append(self.headers)
+                    self.rfile.read(int(self.headers["Content-Length"]))
+                    self.send_response(302)
+                    self.send_header("Location", f"{target_url}/elsewhere")
+                    self.send_header("Content-Length", "0")
+                    self.end_headers()
+
+            with serve(Redirect) as url:
+                out = llm_augment("t", "related", api_key="secret", backoff=0, timeout=10,
+                                  endpoint=url)
+        gc.collect()
+        assert out == "a redirected view"
+        assert [h["Authorization"] for h in posted] == ["Bearer secret"]
+        assert len(redirected) == 1
+        assert "Authorization" not in redirected[0]
+
+
+@pytest.fixture
+def no_proxy(monkeypatch):
+    """Requests to the loopback servers go straight to them, not to a proxy."""
+    for name in [n for n in os.environ if n.lower().endswith("_proxy")]:
+        monkeypatch.delenv(name)
+
+
+class QuietHandler(BaseHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+
+def send_json(handler, body):
+    reply = json.dumps(body).encode()
+    handler.send_response(200)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(reply)))
+    handler.end_headers()
+    handler.wfile.write(reply)
+
+
+@contextlib.contextmanager
+def serve(handler):
+    """Serve handler from a thread on a free loopback port; yields the base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 class TestTfidfAugmenter:

@@ -152,10 +152,15 @@ class TestExitCodes:
          "expected a finite number > 0, got 'nan'"),
         (["augment", "--vocab", "v.json", "--timeout", "inf"],
          "expected a finite number > 0, got 'inf'"),
+        (["augment", "--vocab", "v.json", "--mode", "llm", "--endpoint", "file:///x"],
+         "endpoint must be an http:// or https:// URL, got 'file:///x'"),
+        (["augment", "--vocab", "v.json", "--mode", "llm"],
+         "--endpoint is required for llm augmentation"),
     ], ids=["max-size-negative", "max-size-zero", "max-df-frac-above-one",
             "replace-frac-above-one", "drop-frac-zero", "top-n-negative", "top-n-zero",
             "threshold-nan", "augment-seed-negative", "classify-seed-negative",
-            "timeout-zero", "timeout-negative", "timeout-nan", "timeout-inf"])
+            "timeout-zero", "timeout-negative", "timeout-nan", "timeout-inf",
+            "endpoint-file-scheme", "endpoint-missing"])
     def test_out_of_range_flag_is_usage_error_before_any_read(self, tmp_path, capsys,
                                                               args, message):
         # none of the files exists: the flag must be rejected before any read
