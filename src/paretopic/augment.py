@@ -11,6 +11,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, asdict
+from itertools import chain
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -24,6 +26,7 @@ PROMPT_TEMPLATE = "A sentence that is <{polarity}> to this text: {text}"
 
 DEFAULT_REPLACE_FRAC = 0.3
 DEFAULT_DROP_FRAC = 0.3
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 @dataclass
@@ -63,6 +66,34 @@ def check_endpoint(endpoint: str) -> None:
         raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
 
 
+def forwards_api_key(old_url: str, new_url: str) -> bool:
+    """Whether a redirect from old_url to new_url keeps the API key (requests' rule): the
+    host is unchanged, and so are the scheme and port, or it is http:80 -> https:443."""
+    old, new = urlsplit(old_url), urlsplit(new_url)
+    ends = [(u.scheme, u.port or _DEFAULT_PORTS.get(u.scheme)) for u in (old, new)]
+    upgrade = ends == [("http", 80), ("https", 443)]
+    return old.hostname == new.hostname and (ends[0] == ends[1] or upgrade)
+
+
+def _opener():
+    """An opener that re-sends a POST and its body on 307 and 308, which urllib follows
+    for GET and HEAD only, and passes the API key on where forwards_api_key allows."""
+    from urllib.request import HTTPRedirectHandler, Request, build_opener
+
+    class Redirect(HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if code in (307, 308):
+                new = Request(newurl, req.data, req.headers,
+                              origin_req_host=req.origin_req_host, unverifiable=True)
+            else:
+                new = super().redirect_request(req, fp, code, msg, headers, newurl)
+            if forwards_api_key(req.full_url, newurl):
+                new.add_unredirected_header("Authorization", req.unredirected_hdrs["Authorization"])
+            return new
+
+    return build_opener(Redirect)
+
+
 def llm_augment(doc_text: str, polarity: str, endpoint: str,
                 api_key: str | None = None, timeout: float = 30.0,
                 model: str = "gpt-3.5-turbo", doc_id=None,
@@ -73,7 +104,7 @@ def llm_augment(doc_text: str, polarity: str, endpoint: str,
     """
     from http.client import HTTPException
     from urllib.error import HTTPError
-    from urllib.request import Request, urlopen  # only llm mode loads the HTTP client
+    from urllib.request import Request  # only llm mode loads the HTTP client
 
     if polarity not in ("related", "unrelated"):
         raise ValueError(f"polarity must be 'related' or 'unrelated', got {polarity!r}")
@@ -85,13 +116,14 @@ def llm_augment(doc_text: str, polarity: str, endpoint: str,
     prompt = PROMPT_TEMPLATE.format(polarity=polarity, text=doc_text)
     payload = json.dumps({"model": model, "messages": [{"role": "user", "content": prompt}]})
     request = Request(endpoint, payload.encode(), {"Content-Type": "application/json"})  # a POST
-    request.add_unredirected_header("Authorization", f"Bearer {api_key}")  # kept off redirects
+    request.add_unredirected_header("Authorization", f"Bearer {api_key}")  # see _opener
+    opener = _opener()
     last_error = None
     for attempt in range(max_attempts):
         if attempt:
             time.sleep(backoff * 2 ** (attempt - 1))
-        try:  # urlopen raises HTTPError, an OSError, for every status >= 400
-            with urlopen(request, timeout=timeout) as resp:
+        try:  # the opener raises HTTPError, an OSError, for every status >= 400
+            with opener.open(request, timeout=timeout) as resp:
                 body = json.load(resp)
             text = body["choices"][0]["message"]["content"]
         except (OSError, HTTPException, ValueError, KeyError, IndexError, TypeError) as exc:
@@ -118,18 +150,12 @@ class TfidfAugmenter:
 
     def __init__(self, corpus: Corpus):
         self.vocab = corpus.vocabulary
-        V = self.vocab.size
-        docfreq = np.zeros(V)
-        n_docs = 0
-        for doc in corpus.documents:
-            if doc.is_empty:
-                continue
-            n_docs += 1
-            for w in doc.counts:
-                docfreq[w] += 1
-        if n_docs == 0:
+        docs = [doc.counts for doc in corpus.documents if not doc.is_empty]
+        if not docs:
             raise DataError("TfidfAugmenter: corpus has no nonempty documents")
-        self.idf = np.log(n_docs / np.maximum(docfreq, 1.0))
+        docfreq = np.bincount(np.fromiter(chain.from_iterable(docs), dtype=np.int64),
+                              minlength=self.vocab.size)
+        self.idf = np.log(len(docs) / np.maximum(docfreq, 1.0))
 
     def scores(self, doc: BowDocument) -> dict[int, float]:
         return {w: c * self.idf[w] for w, c in doc.counts.items()}
@@ -156,9 +182,7 @@ class TfidfAugmenter:
         rng = np.random.default_rng(rng_seed)
         keep = set(doc.counts) - set(victims)
         new_counts = {w: doc.counts[w] for w in keep}
-        fresh = np.ones(self.vocab.size, dtype=bool)
-        fresh[list(doc.counts)] = False
-        candidates = np.flatnonzero(fresh).tolist()  # ascending word ids
+        candidates = _absent_words(doc, self.vocab.size)
         for victim in victims:
             if candidates:
                 # same draw as rng.choice(len(candidates)), without its overhead
@@ -231,8 +255,8 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
     """Produce one (positive, negative) pair of views per nonempty document:
     LLM completions as text, every other view as a {word: count} bag of words.
 
-    Any augmentation that is, or would vectorize to, an empty document is
-    regenerated with the dropout fallback.
+    An LLM completion with no vocabulary word is regenerated with the dropout
+    fallback; the TF-IDF and dropout views of a nonempty document are never empty.
     """
     if method not in ("llm", "tfidf", "dropout"):
         raise ValueError(f"unknown augmentation method {method!r}: expected llm, tfidf or dropout")
@@ -263,7 +287,7 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
             views = [dropout_augment(doc, drop_frac, rng_seed + 2 * i),
                      tfidf_negative_fallback(corpus, doc, rng_seed + 2 * i + 1)]
         for k, view in enumerate(views):
-            if view is None or isinstance(view, BowDocument) and view.is_empty:
+            if view is None:
                 views[k] = dropout_augment(doc, drop_frac, rng_seed + 2 * i + k)
                 used = "dropout"
         pos, neg = (v if isinstance(v, str) else
@@ -273,13 +297,18 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
     return triples
 
 
+def _absent_words(doc: BowDocument, vocab_size: int) -> list[int]:
+    """Ascending ids of the vocabulary words the document does not hold."""
+    fresh = np.ones(vocab_size, dtype=bool)
+    fresh[list(doc.counts)] = False
+    return np.flatnonzero(fresh).tolist()
+
+
 def tfidf_negative_fallback(corpus: Corpus, doc: BowDocument, rng_seed: int) -> BowDocument:
     """Negative view for dropout mode: random words not in the document."""
     rng = np.random.default_rng(rng_seed)
     vocab_size = corpus.vocabulary.size
-    candidates = [w for w in range(vocab_size) if w not in doc.counts]
-    if not candidates:
-        candidates = list(range(vocab_size))
+    candidates = _absent_words(doc, vocab_size) or list(range(vocab_size))
     n = min(len(doc.counts), len(candidates))
     picks = rng.choice(len(candidates), size=n, replace=False)
     return BowDocument(counts={candidates[int(p)]: 1 for p in picks}, label=doc.label)

@@ -39,7 +39,6 @@ CONFIG_KEYS = {
     "train.seed": "seed",
     "moo.strategy": "moo_strategy",
     "moo.linear_alpha": "linear_alpha",
-    "moo.tie_eps": "tie_eps",
 }
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -188,7 +187,7 @@ def cmd_eval(args) -> int:
     print(f"# eval topics={args.topics} reference={args.reference}")
     vocab = corpus_mod.Vocabulary.load(args.vocab)
     topics = evaluate.load_topics(args.topics, vocab)
-    reference = _load_vocab_corpus(args.reference, args.vocab)
+    reference = corpus_mod.make_corpus(corpus_mod.load_corpus(args.reference), vocab)
     stats = evaluate.CooccurrenceStats.from_corpus(reference, topics=topics)
     per_topic, mean_npmi = evaluate.npmi(topics, stats)
     td = evaluate.topic_diversity(topics)
@@ -205,9 +204,8 @@ def cmd_align(args) -> int:
     vocab = corpus_mod.Vocabulary.load(args.vocab)
     state_a = trainer.load_checkpoint(args.checkpoint_a, expect_vocab_hash=vocab.content_hash())
     state_b = trainer.load_checkpoint(args.checkpoint_b, expect_vocab_hash=vocab.content_hash())
-    dists_a = [row for row in diffnet.softmax(state_a.dec.beta)]
-    dists_b = [row for row in diffnet.softmax(state_b.dec.beta)]
-    matching = evaluate.align_topics(dists_a, dists_b, threshold=args.threshold)
+    matching = evaluate.align_topics(diffnet.softmax(state_a.dec.beta),
+                                     diffnet.softmax(state_b.dec.beta), threshold=args.threshold)
     report = [{"topic_a": i, "topic_b": j, "js": js} for i, j, js in matching]
     print(json.dumps(report, indent=2))
     if args.output:
@@ -243,15 +241,14 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def run_selftest(verbose: bool = True) -> bool:
-    """Gradient checks and solver-oracle spot checks; True iff all pass."""
+def cmd_selftest(args) -> int:
+    """Gradient checks and solver-oracle spot checks; exit 0 iff all pass."""
     rng = np.random.default_rng(0)
     results = []
 
     def check(name, ok):
-        results.append((name, ok))
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        results.append(ok)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     V, H, T, B, K, S = 30, 12, 6, 10, 3, 2
     enc, dec = ntm.init_params(V, H, T, rng)
@@ -302,14 +299,9 @@ def run_selftest(verbose: bool = True) -> bool:
         worst = max(worst, abs(a_closed - a_grid))
     check(f"min-norm solver vs grid oracle (max dev {worst:.2e})", worst <= 1e-4)
 
-    ok = all(flag for _, flag in results)
-    if verbose:
-        print("selftest:", "all checks passed" if ok else "FAILURES present")
-    return ok
-
-
-def cmd_selftest(args) -> int:
-    return EXIT_OK if run_selftest() else EXIT_RUNTIME
+    ok = all(results)
+    print("selftest:", "all checks passed" if ok else "FAILURES present")
+    return EXIT_OK if ok else EXIT_RUNTIME
 
 
 def build_parser() -> _Parser:

@@ -17,6 +17,7 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 DEFAULT_MIN_DF = 5
 DEFAULT_MAX_DF_FRAC = 0.7
 DEFAULT_MAX_SIZE = 2000
+MAX_MALFORMED_FRAC = 0.01  # load_corpus fails above this share of bad lines
 
 
 def _token_counts(text: str) -> dict[str, int]:
@@ -132,12 +133,12 @@ def vectorize(text: str, vocab: Vocabulary, label: object = None) -> BowDocument
     return BowDocument(counts=counts, label=label, raw_text=text)
 
 
-def load_corpus(path: str, max_malformed_frac: float = 0.01) -> list[tuple[str, object]]:
+def load_corpus(path: str) -> list[tuple[str, object]]:
     """Read a JSONL corpus of {"text": ..., "label": optional}.
 
     Malformed lines (bad JSON, no string "text", a list or object "label")
     are reported by line number; the whole load fails if more than
-    max_malformed_frac of lines are bad.
+    MAX_MALFORMED_FRAC of lines are bad.
     """
     entries: list[tuple[str, object]] = []
     malformed: list[int] = []
@@ -155,7 +156,7 @@ def load_corpus(path: str, max_malformed_frac: float = 0.01) -> list[tuple[str, 
     total = len(entries) + len(malformed)
     if malformed:
         log.warning("%s: %d malformed line(s) at %s", path, len(malformed), malformed[:20])
-        if len(malformed) > max_malformed_frac * total:
+        if len(malformed) > MAX_MALFORMED_FRAC * total:
             raise DataError(
                 f"{path}: {len(malformed)}/{total} malformed JSONL lines "
                 f"(lines {malformed[:20]}{'...' if len(malformed) > 20 else ''})")

@@ -20,7 +20,7 @@ import numpy as np
 
 Array = np.ndarray
 
-DEFAULT_TIE_EPS = 1e-12
+TIE_EPS = 1e-12  # a pair closer than this (||g1 - g2||^2) is a tie
 STRATEGIES = ("mgda", "linear", "random", "pcgrad")
 
 
@@ -44,20 +44,16 @@ def _dot(a: Array, b: Array) -> float:
     return float((a * b).sum())
 
 
-def _norm(a: Array) -> float:
-    return float(np.sqrt(_dot(a, a)))
-
-
 def _gram(g1: Array, g2: Array) -> tuple[float, float, float]:
     """The pair's Gram entries (g1.g1, g1.g2, g2.g2)."""
     return _dot(g1, g1), _dot(g1, g2), _dot(g2, g2)
 
 
-def _min_norm(g11: float, g12: float, g22: float, tie_eps: float):
+def _min_norm(g11: float, g12: float, g22: float):
     """Min-norm weights (a, 1 - a) from the Gram entries, and ||g1 - g2||^2;
     1 - a has its own numerator, so it keeps its digits when a is near 1."""
     denom = g11 - 2.0 * g12 + g22
-    if denom < tie_eps:
+    if denom < TIE_EPS:
         return 0.5, 0.5, denom
     a, b = (g22 - g12) / denom, (g11 - g12) / denom
     if min(a, b) <= 0.0:  # the min-norm point is an endpoint
@@ -65,13 +61,13 @@ def _min_norm(g11: float, g12: float, g22: float, tie_eps: float):
     return a, b, denom
 
 
-def alpha_min_norm(g1: Array, g2: Array, tie_eps: float = DEFAULT_TIE_EPS) -> float:
+def alpha_min_norm(g1: Array, g2: Array) -> float:
     """Exact minimizer of ||a g1 + (1-a) g2||^2 over a in [0, 1].
 
     a* = clip((g2.g2 - g1.g2) / ||g1 - g2||^2, 0, 1); near-identical pairs
-    (||g1 - g2||^2 < tie_eps) return 0.5, where any a gives the same direction.
+    (||g1 - g2||^2 < TIE_EPS) return 0.5, where any a gives the same direction.
     """
-    return _min_norm(*_gram(*_check_pair(g1, g2)), tie_eps)[0]
+    return _min_norm(*_gram(*_check_pair(g1, g2)))[0]
 
 
 def alpha_grid_oracle(g1: Array, g2: Array, steps: int = 10_000) -> float:
@@ -100,7 +96,7 @@ def blend(g1: Array, g2: Array, alpha: float) -> Array:
     return alpha * g1 + (1.0 - alpha) * g2
 
 
-def strategy_dispatch(name: str, g1: Array, g2: Array, params: dict | None = None,
+def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5,
                       rng: np.random.Generator | None = None,
                       losses: tuple[float, float] | None = None) -> BlendDecision:
     """Pick a blend direction for (g1, g2) = (contrastive, ELBO) gradients.
@@ -112,14 +108,12 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, params: dict | None = Non
     returned alpha is beta and the direction is blend(g1, g2, beta). If
     ``losses`` is None or either c_i is not positive (a zero loss or
     gradient) the solve runs on G itself and beta = a. The diagnostics flag
-    a ``degenerate_pair`` when the solved pair is closer than tie_eps.
+    a ``degenerate_pair`` when the solved pair is closer than TIE_EPS.
     ``pcgrad`` projects each conflicting gradient onto the other's normal
     plane: weights (1 - g12/g11, 1 - g12/g22) when g12 < 0, else (1, 1).
     ``linear``, ``random`` and ``pcgrad`` ignore ``losses``.
     """
     g1, g2 = _check_pair(g1, g2)
-    params = params or {}
-    tie_eps = params.get("tie_eps", DEFAULT_TIE_EPS)
     g11, g12, g22 = _gram(g1, g2)
     n1, n2 = float(np.sqrt(g11)), float(np.sqrt(g22))
     if name == "mgda":
@@ -127,13 +121,13 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, params: dict | None = Non
         if losses is not None:
             c1, c2 = float(losses[0]) * n1, float(losses[1]) * n2
         if c1 > 0.0 and c2 > 0.0:
-            a, b, denom = _min_norm(g11 / (c1 * c1), g12 / (c1 * c2), g22 / (c2 * c2), tie_eps)
+            a, b, denom = _min_norm(g11 / (c1 * c1), g12 / (c1 * c2), g22 / (c2 * c2))
             alpha = (a / c1) / (a / c1 + b / c2)
         else:
-            alpha, _, denom = _min_norm(g11, g12, g22, tie_eps)
+            alpha, _, denom = _min_norm(g11, g12, g22)
         direction = blend(g1, g2, alpha)
     elif name == "linear":
-        alpha = float(params.get("linear_alpha", 0.5))
+        alpha = float(linear_alpha)
         direction = blend(g1, g2, alpha)
     elif name == "random":
         if rng is None:
@@ -149,9 +143,9 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, params: dict | None = Non
     diagnostics = {
         "g1_norm": n1,
         "g2_norm": n2,
-        "direction_norm": _norm(direction),
+        "direction_norm": float(np.sqrt(_dot(direction, direction))),
         "g1_dot_g2": g12,
     }
-    if name == "mgda" and denom < tie_eps:
+    if name == "mgda" and denom < TIE_EPS:
         diagnostics["degenerate_pair"] = True
     return BlendDecision(alpha=alpha, direction=direction, diagnostics=diagnostics)

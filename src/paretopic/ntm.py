@@ -176,13 +176,12 @@ class ElboResult:
     loss: float
     recon: float
     kl: float
-    g_enc: Array | None = None
-    g_dec: Array | None = None
+    g_enc: Array
+    g_dec: Array
 
 
 def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
-                    eps: Array, want_grads: bool = True,
-                    cache: EncodeCache | None = None) -> ElboResult:
+                    eps: Array, cache: EncodeCache | None = None) -> ElboResult:
     """Mean over the batch of (reconstruction + KL), with gradients laid out as enc.flat, dec.flat.
 
     eps is the fixed standard-normal draw for the reparameterized sample.
@@ -201,8 +200,6 @@ def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
     loss = recon + kl
     if not np.isfinite(loss):
         raise NumericError("elbo_loss is non-finite")
-    if not want_grads:
-        return ElboResult(loss=loss, recon=recon, kl=kl)
 
     # reconstruction backward
     row_tot = Xc.sum(axis=1, keepdims=True)

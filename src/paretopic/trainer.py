@@ -16,7 +16,7 @@ import numpy as np
 from . import moo, ntm, setcl
 from .augment import AugmentedTriple
 from .corpus import BowDocument, Corpus, vectorize
-from .errors import ConfigError, DataError, NumericError, read_json
+from .errors import ConfigError, DataError, read_json
 
 Array = np.ndarray
 
@@ -36,7 +36,6 @@ class TrainConfig:
     epochs: int = 200
     moo_strategy: str = "mgda"
     linear_alpha: float = 0.5
-    tie_eps: float = moo.DEFAULT_TIE_EPS
     pool_positive: str = setcl.DEFAULT_POOL_POSITIVE
     pool_negative: str = setcl.DEFAULT_POOL_NEGATIVE
     include_own_negative: bool = False
@@ -53,14 +52,13 @@ class TrainConfig:
                 f"set size K={self.set_size} must satisfy 1 <= K <= batch size B={self.batch_size}")
         if self.shuffle_count < 1:
             raise ConfigError("shuffle_count must be >= 1")
-        for name in ("temperature", "learning_rate", "linear_alpha", "tie_eps"):
+        for name in ("temperature", "learning_rate", "linear_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature <= 0 or self.learning_rate <= 0:
             raise ConfigError("temperature and learning_rate must be positive")
-        if not 0.0 <= self.linear_alpha <= 1.0 or self.tie_eps < 0:
-            raise ConfigError(f"linear_alpha must lie in [0, 1] and tie_eps be nonnegative, "
-                              f"got {self.linear_alpha} and {self.tie_eps}")
+        if not 0.0 <= self.linear_alpha <= 1.0:
+            raise ConfigError(f"linear_alpha must lie in [0, 1], got {self.linear_alpha}")
         if self.moo_strategy not in moo.STRATEGIES:
             raise ConfigError(
                 f"unknown moo strategy {self.moo_strategy!r}, expected one of {moo.STRATEGIES}")
@@ -170,15 +168,9 @@ def train_step(batch_rows: Array, state: ModelState, data: TrainData,
     cache_x, eps_x, _ = views[0]
     elbo = ntm.elbo_with_grads(Xb, state.enc, state.dec, eps_x, cache=cache_x)
 
-    if not (np.isfinite(inf_loss) and np.isfinite(elbo.loss)):
-        raise NumericError(
-            f"non-finite loss at step {step}: infonce={inf_loss}, elbo={elbo.loss}, "
-            f"batch rows={batch_rows.tolist()}")
-
-    decision = moo.strategy_dispatch(
-        config.moo_strategy, g_inf, elbo.g_enc,
-        params={"linear_alpha": config.linear_alpha, "tie_eps": config.tie_eps},
-        rng=rng, losses=(inf_loss, elbo.loss))
+    decision = moo.strategy_dispatch(config.moo_strategy, g_inf, elbo.g_enc,
+                                     linear_alpha=config.linear_alpha, rng=rng,
+                                     losses=(inf_loss, elbo.loss))
 
     np.subtract(state.enc.flat, config.learning_rate * decision.direction, out=state.enc.flat)
     np.subtract(state.dec.flat, config.learning_rate * elbo.g_dec, out=state.dec.flat)

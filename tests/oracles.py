@@ -252,6 +252,18 @@ def setwise_infonce_grads(Z: Array, Zp: Array, Zm: Array, members, tau: float,
     return dZ, dZp, dZm
 
 
+def tfidf_idf(corpus) -> Array:
+    """``TfidfAugmenter``'s idf from document frequencies counted word by word."""
+    docfreq = np.zeros(corpus.vocabulary.size)
+    n_docs = 0
+    for doc in corpus.documents:
+        if doc.counts:
+            n_docs += 1
+            for w in doc.counts:
+                docfreq[w] += 1
+    return np.log(n_docs / np.maximum(docfreq, 1.0))
+
+
 def tfidf_augment(aug, doc: BowDocument, polarity: str, replace_frac: float,
                   rng_seed: int) -> BowDocument:
     """``TfidfAugmenter.augment`` as a per-word Python loop with ``rng.choice``."""

@@ -12,14 +12,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from paretopic import augment
 from paretopic.augment import (AugmentedTriple, LlmAugmentError, TfidfAugmenter,
                                bow_to_text, build_augmentation_cache,
                                cache_augmentations, dropout_augment,
-                               llm_augment, load_augmentations)
-from paretopic.corpus import BowDocument, Vocabulary, build_vocabulary, make_corpus
+                               llm_augment, load_augmentations, tfidf_negative_fallback)
+from paretopic.corpus import BowDocument, Corpus, Vocabulary, build_vocabulary, make_corpus
 from paretopic.errors import DataError
 
 
@@ -44,15 +45,20 @@ class TestAugmentedTriple:
 
 
 def fake_response(status=200, body=None, bad_json=False):
-    """What urlopen returns for a chat body, or raises for an HTTP status >= 400."""
+    """What the opener returns for a chat body, or raises for an HTTP status >= 400."""
     if status >= 400:
         return urllib.error.HTTPError("http://x", status, "error", {}, io.BytesIO())
     return io.BytesIO(b"{not json" if bad_json else json.dumps(body).encode())
 
 
-def stub_urlopen(*responses):
-    """Patch urlopen to answer each call with the next response, raising it if an error."""
-    return mock.patch("urllib.request.urlopen", side_effect=responses)
+@contextlib.contextmanager
+def stub_opener(*responses):
+    """Patch the opener llm_augment builds to answer each call with the next response,
+    raising it if an error; yields the opener's open."""
+    opener = mock.Mock()
+    opener.open.side_effect = responses
+    with mock.patch.object(augment, "_opener", return_value=opener):
+        yield opener.open
 
 
 def chat_body(text):
@@ -61,14 +67,14 @@ def chat_body(text):
 
 class TestLlmAugment:
     def test_success_first_attempt(self):
-        with stub_urlopen(fake_response(body=chat_body("a cat"))) as urlopen:
+        with stub_opener(fake_response(body=chat_body("a cat"))) as send:
             out = llm_augment("dog text", "related", endpoint="http://x", api_key="k",
                               timeout=7.0)
         assert out == "a cat"
-        assert urlopen.call_count == 1
-        request = urlopen.call_args.args[0]
+        assert send.call_count == 1
+        request = send.call_args.args[0]
         assert request.get_method() == "POST"
-        assert urlopen.call_args.kwargs["timeout"] == 7.0
+        assert send.call_args.kwargs["timeout"] == 7.0
         payload = json.loads(request.data)
         assert "related" in payload["messages"][0]["content"]
         assert "dog text" in payload["messages"][0]["content"]
@@ -76,32 +82,32 @@ class TestLlmAugment:
         assert request.get_header("Content-type") == "application/json"
 
     def test_retries_then_succeeds(self):
-        with stub_urlopen(fake_response(status=500),
-                          fake_response(body=chat_body("ok"))) as urlopen, \
+        with stub_opener(fake_response(status=500),
+                          fake_response(body=chat_body("ok"))) as send, \
                 mock.patch.object(augment.time, "sleep") as sleep:
             out = llm_augment("t", "unrelated", endpoint="http://x", backoff=2.0)
         assert out == "ok"
-        assert urlopen.call_count == 2
+        assert send.call_count == 2
         sleep.assert_called_once_with(2.0)
 
     def test_exponential_backoff_then_failure(self):
-        with stub_urlopen(*(fake_response(status=503) for _ in range(3))) as urlopen, \
+        with stub_opener(*(fake_response(status=503) for _ in range(3))) as send, \
                 mock.patch.object(augment.time, "sleep") as sleep:
             with pytest.raises(LlmAugmentError) as exc:
                 llm_augment("t", "related", endpoint="http://x", doc_id=17,
                             max_attempts=3, backoff=1.0)
-        assert urlopen.call_count == 3
+        assert send.call_count == 3
         assert [c.args[0] for c in sleep.call_args_list] == [1.0, 2.0]
         assert exc.value.doc_id == 17
 
     def test_non_text_completion_raises_without_retry(self):
-        with stub_urlopen(fake_response(body=chat_body("  "))) as urlopen:
+        with stub_opener(fake_response(body=chat_body("  "))) as send:
             with pytest.raises(LlmAugmentError):
                 llm_augment("t", "related", endpoint="http://x")
-        assert urlopen.call_count == 1
+        assert send.call_count == 1
 
     def test_malformed_body_retries(self):
-        with stub_urlopen(fake_response(body={"nope": 1}), fake_response(bad_json=True),
+        with stub_opener(fake_response(body={"nope": 1}), fake_response(bad_json=True),
                           fake_response(body=chat_body("fine"))), \
                 mock.patch.object(augment.time, "sleep"):
             assert llm_augment("t", "related", endpoint="http://x") == "fine"
@@ -111,17 +117,17 @@ class TestLlmAugment:
             llm_augment("t", "sideways", endpoint="http://x")
 
     def test_file_endpoint_is_refused_before_any_attempt(self):
-        # urlopen would read a local file for a file:// URL
-        with stub_urlopen() as urlopen:
+        # urllib would read a local file for a file:// URL
+        with stub_opener() as send:
             with pytest.raises(ValueError, match="http:// or https://"):
                 llm_augment("t", "related", endpoint="file:///chat.json")
-        assert urlopen.call_count == 0
+        assert send.call_count == 0
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv(augment.API_KEY_ENV, "envkey")
-        with stub_urlopen(fake_response(body=chat_body("x"))) as urlopen:
+        with stub_opener(fake_response(body=chat_body("x"))) as send:
             llm_augment("t", "related", endpoint="http://x")
-        assert urlopen.call_args.args[0].get_header("Authorization") == "Bearer envkey"
+        assert send.call_args.args[0].get_header("Authorization") == "Bearer envkey"
 
     @pytest.mark.filterwarnings("error")  # an unclosed socket is a ResourceWarning
     def test_loopback_request(self, no_proxy, caplog):
@@ -165,10 +171,7 @@ class TestLlmAugment:
                 def do_POST(self):
                     posted.append(self.headers)
                     self.rfile.read(int(self.headers["Content-Length"]))
-                    self.send_response(302)
-                    self.send_header("Location", f"{target_url}/elsewhere")
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
+                    redirect(self, 302, f"{target_url}/elsewhere")
 
             with serve(Redirect) as url:
                 out = llm_augment("t", "related", api_key="secret", backoff=0, timeout=10,
@@ -178,6 +181,70 @@ class TestLlmAugment:
         assert [h["Authorization"] for h in posted] == ["Bearer secret"]
         assert len(redirected) == 1
         assert "Authorization" not in redirected[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_307_to_the_same_server_resends_body_and_key(self, no_proxy):
+        seen = []
+
+        class Handler(QuietHandler):
+            def do_POST(self):
+                seen.append((self.path, self.headers,
+                             self.rfile.read(int(self.headers["Content-Length"]))))
+                if self.path == "/v1/chat":
+                    redirect(self, 307, "/v2/chat")
+                else:
+                    send_json(self, chat_body("a moved view"))
+
+        with serve(Handler) as url:
+            out = llm_augment("dog text", "related", api_key="k", backoff=0, timeout=10,
+                              endpoint=f"{url}/v1/chat")
+        gc.collect()
+        assert out == "a moved view"
+        assert [path for path, _, _ in seen] == ["/v1/chat", "/v2/chat"]
+        assert seen[1][2] == seen[0][2] and b"dog text" in seen[1][2]
+        assert [h["Authorization"] for _, h, _ in seen] == ["Bearer k", "Bearer k"]
+        assert seen[1][1]["Content-Type"] == "application/json"
+
+    @pytest.mark.filterwarnings("error")
+    def test_308_to_another_port_resends_body_without_key(self, no_proxy):
+        posted, moved = [], []
+
+        class Target(QuietHandler):
+            def do_POST(self):
+                moved.append((self.headers, self.rfile.read(int(self.headers["Content-Length"]))))
+                send_json(self, chat_body("a moved view"))
+
+        with serve(Target) as target_url:
+            class Redirect(QuietHandler):
+                def do_POST(self):
+                    posted.append(self.rfile.read(int(self.headers["Content-Length"])))
+                    redirect(self, 308, f"{target_url}/v1/chat")
+
+            with serve(Redirect) as url:
+                out = llm_augment("dog text", "related", api_key="secret", backoff=0,
+                                  timeout=10, endpoint=url)
+        gc.collect()
+        assert out == "a moved view"
+        assert len(posted) == len(moved) == 1
+        headers, body = moved[0]
+        assert body == posted[0] and b"dog text" in body
+        assert "Authorization" not in headers
+
+    @pytest.mark.parametrize("old, new, keeps", [
+        ("http://api.example/v1", "http://api.example/v2", True),
+        ("http://api.example/v1", "http://api.example:80/v2", True),
+        ("https://api.example:443/v1", "https://API.example/v2", True),
+        ("http://api.example/v1", "https://api.example/v1", True),
+        ("http://api.example:80/v1", "https://api.example:443/v1", True),
+        ("http://api.example:8080/v1", "https://api.example/v1", False),
+        ("http://api.example/v1", "https://api.example:8443/v1", False),
+        ("https://api.example/v1", "http://api.example/v1", False),
+        ("http://127.0.0.1:8000/v1", "http://127.0.0.1:8001/v1", False),
+        ("http://api.example/v1", "http://other.example/v1", False),
+        ("http://api.example/v1", "https://other.example/v1", False),
+    ])
+    def test_api_key_rule(self, old, new, keeps):
+        assert augment.forwards_api_key(old, new) is keeps
 
 
 @pytest.fixture
@@ -199,6 +266,13 @@ def send_json(handler, body):
     handler.send_header("Content-Length", str(len(reply)))
     handler.end_headers()
     handler.wfile.write(reply)
+
+
+def redirect(handler, code, location):
+    handler.send_response(code)
+    handler.send_header("Location", location)
+    handler.send_header("Content-Length", "0")
+    handler.end_headers()
 
 
 @contextlib.contextmanager
@@ -279,6 +353,7 @@ class TestTfidfAugmenter:
                             Vocabulary(words=["aa", "bb", "cc", "dd"], df=[1] * 4))
         for corpus in (wide, small):
             aug = TfidfAugmenter(corpus)
+            np.testing.assert_array_equal(aug.idf, oracles.tfidf_idf(corpus))
             docs = [d for d in corpus.documents if not d.is_empty]
             docs.append(BowDocument(counts={0: 3}))  # the nnz == 1 branch
             for seed, doc, polarity, frac in itertools.product(
@@ -353,6 +428,16 @@ class TestCacheIo:
             load_augmentations(str(tmp_path / "nope.jsonl"), corpus_size=1)
 
 
+@st.composite
+def corpus_and_doc(draw):
+    """A corpus of nonempty documents over a small vocabulary, and one nonempty document."""
+    V = draw(st.integers(1, 12))
+    bag = st.dictionaries(st.integers(0, V - 1), st.integers(1, 5), min_size=1)
+    vocab = Vocabulary(words=[f"w{i}" for i in range(V)], df=[1] * V)
+    docs = [BowDocument(counts=counts) for counts in draw(st.lists(bag, min_size=1, max_size=4))]
+    return Corpus(documents=docs, vocabulary=vocab), BowDocument(counts=draw(bag))
+
+
 class TestBuildCache:
     def test_tfidf_covers_all_nonempty_docs(self, corpus):
         triples = build_augmentation_cache(corpus, method="tfidf", rng_seed=0)
@@ -391,12 +476,16 @@ class TestBuildCache:
         assert all(t.method == "llm" for t in triples)
         assert triples[0].positive_text == "apple banana"
 
-    def test_empty_tfidf_view_regenerated_by_dropout(self, corpus):
-        with mock.patch.object(TfidfAugmenter, "augment",
-                               return_value=BowDocument(counts={})):
-            triples = build_augmentation_cache(corpus, method="tfidf", rng_seed=0)
-        assert all(t.method == "dropout" for t in triples)
-        assert all(t.positive_text and t.negative_text for t in triples)
+    @given(corpus_and_doc(), st.integers(0, 2 ** 63),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_tfidf_and_dropout_views_are_never_empty(self, case, seed, frac):
+        """So only an LLM completion can need the dropout fallback."""
+        corpus, doc = case
+        aug = TfidfAugmenter(corpus)
+        views = [aug.augment(doc, "related", frac, seed), aug.augment(doc, "unrelated", frac, seed),
+                 dropout_augment(doc, frac, seed), tfidf_negative_fallback(corpus, doc, seed)]
+        assert all(view.counts for view in views)
 
     def test_oov_llm_output_regenerated_by_dropout(self, corpus):
         # completions full of OOV words would vectorize empty; the cache

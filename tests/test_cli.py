@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from paretopic import augment, cli, evaluate, trainer
-from paretopic.corpus import Vocabulary, load_corpus
+from paretopic.corpus import Vocabulary, load_corpus, make_corpus
 from paretopic.errors import ConfigError
 
 
@@ -103,10 +105,8 @@ class TestExitCodes:
         (["setcl.tau=nan"], "temperature must be finite"),
         (["moo.strategy=linear", "moo.linear_alpha=1.5"], "linear_alpha must lie in [0, 1]"),
         (["moo.linear_alpha=nan"], "linear_alpha must be finite"),
-        (["moo.tie_eps=-1e-9"], "tie_eps be nonnegative"),
-        (["moo.tie_eps=inf"], "tie_eps must be finite"),
-    ], ids=["lr-inf", "tau-nan", "alpha-above-one", "alpha-nan", "tie-eps-negative",
-            "tie-eps-inf"])
+        (["moo.tie_eps=1e-9"], "unknown config key 'moo.tie_eps'"),
+    ], ids=["lr-inf", "tau-nan", "alpha-above-one", "alpha-nan", "tie-eps-not-a-key"])
     def test_bad_number_is_usage_error_before_any_read(self, tmp_path, capsys,
                                                        settings, message):
         # none of the files exists: the config must be rejected before any read
@@ -301,6 +301,23 @@ class TestExitCodes:
         assert cli.main(argv[command]) == cli.EXIT_DATA
         assert f"data error: cannot read {what} {path}: " in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_non_finite_loss_is_runtime_error(self, workdir, capsys):
+        argv = reader_argv(workdir)["train"]
+        capsys.readouterr()
+        assert cli.main(argv + [*TINY_TRAIN, "--set", "train.lr=1e300"]) == cli.EXIT_RUNTIME
+        assert "runtime error: setwise InfoNCE loss is non-finite" in capsys.readouterr().err
+        assert not (workdir / "ck.json").exists()
+
+
+def test_config_keys_name_each_field_once(capsys):
+    fields = [f.name for f in dataclasses.fields(trainer.TrainConfig)]
+    assert sorted(cli.CONFIG_KEYS.values()) == sorted(fields)
+    cli.print_resolved_config(trainer.TrainConfig(seed=0))
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "# resolved config"
+    assert sorted(line.split(" = ")[0] for line in lines) == sorted(cli.CONFIG_KEYS)
+
 
 class TestByteOrderMark:
     @pytest.mark.parametrize("target, load", [
@@ -377,6 +394,10 @@ def reader_argv(workdir) -> dict:
     assert cli.main(["augment", "--input", corpus, "--vocab", vocab,
                      "--output", cache, "--mode", "tfidf", "--seed", "0"]) == 0
     return argv
+
+
+TINY_TRAIN = ["--set", "model.T=3", "--set", "model.H=8", "--set", "setcl.K=2",
+              "--set", "setcl.S=2", "--set", "train.batch_size=6"]
 
 
 def edit_first_record(jsonl: str, **changes) -> str:
@@ -511,6 +532,68 @@ class TestPipeline:
                          "--reference", corpus, "--output", str(workdir / "m.json")])
         assert code == cli.EXIT_DATA
         assert "holds no topic line" in capsys.readouterr().err
+
+
+class TestCommandOutputs:
+    def test_train_log_has_one_finite_record_per_step(self, workdir, capsys):
+        log = workdir / "log.jsonl"
+        argv = reader_argv(workdir)["train"] + TINY_TRAIN + ["--set", "train.epochs=3"]
+        assert cli.main(argv + ["--log", str(log)]) == 0
+        assert "trained 3 steps" in capsys.readouterr().out
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["step"] for r in records] == [0, 1, 2]
+        assert all(math.isfinite(v) for r in records for v in r.values())
+
+    def test_align_output_is_the_printed_report(self, workdir, capsys):
+        ckpt, out = str(workdir / "ck.json"), workdir / "align.json"
+        assert cli.main(reader_argv(workdir)["train"] + TINY_TRAIN
+                        + ["--set", "train.epochs=1"]) == 0
+        capsys.readouterr()
+        assert cli.main(["align", "--checkpoint-a", ckpt, "--checkpoint-b", ckpt,
+                         "--vocab", str(workdir / "vocab.json"), "--output", str(out)]) == 0
+        printed = capsys.readouterr().out.split("\n", 1)[1]  # after the "# align" line
+        assert json.loads(out.read_text()) == json.loads(printed)
+        assert len(json.loads(printed)) == 3
+
+    def test_classify_unlabeled_corpus_writes_features_and_skips_proxy(self, tmp_path,
+                                                                        tiny_texts, capsys):
+        write_jsonl(tmp_path / "corpus.jsonl", tiny_texts)  # no labels
+        argv = reader_argv(tmp_path)
+        assert cli.main(argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]) == 0
+        out = tmp_path / "features.csv"
+        capsys.readouterr()
+        assert cli.main(["classify", "--input", str(tmp_path / "corpus.jsonl"),
+                         "--vocab", str(tmp_path / "vocab.json"),
+                         "--checkpoint", str(tmp_path / "ck.json"), "--output", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "corpus has unlabeled documents; proxy classifier skipped" in printed
+        assert "macro-F1" not in printed
+        rows = out.read_text().splitlines()
+        assert rows[0] == "theta_0,theta_1,theta_2,label"
+        assert len(rows) == 1 + len(tiny_texts) and all(r.endswith(",") for r in rows[1:])
+
+    def test_dropout_augmentation(self, workdir):
+        reader_argv(workdir)  # writes vocab.json
+        vocab = Vocabulary.load(str(workdir / "vocab.json"))
+        docs = [{vocab.words[w] for w in doc.counts} for doc in
+                make_corpus(load_corpus(str(workdir / "corpus.jsonl")), vocab).documents]
+        caches = []
+        for name in ("a.jsonl", "b.jsonl"):
+            path = workdir / name
+            assert cli.main(["augment", "--input", str(workdir / "corpus.jsonl"),
+                             "--vocab", str(workdir / "vocab.json"), "--output", str(path),
+                             "--mode", "dropout", "--seed", "4"]) == 0
+            caches.append(path.read_bytes())
+        assert caches[0] == caches[1]
+        records = [json.loads(line) for line in caches[0].decode().splitlines()]
+        assert [r["anchor_id"] for r in records] == list(range(len(docs)))
+        for r in records:
+            assert r["method"] == "dropout"
+            for view in (r["positive_text"], r["negative_text"]):
+                assert view and view.keys() <= set(vocab.words)
+                assert all(type(c) is int and c > 0 for c in view.values())
+            assert r["positive_text"].keys() <= docs[r["anchor_id"]]
+            assert not r["negative_text"].keys() & docs[r["anchor_id"]]
 
 
 class TestSelftest:

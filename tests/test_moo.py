@@ -162,7 +162,7 @@ class TestStrategies:
 
     def test_linear_uses_config_alpha(self):
         dec = moo.strategy_dispatch("linear", np.array([2.0]), np.array([0.0]),
-                                    params={"linear_alpha": 0.25})
+                                    linear_alpha=0.25)
         assert dec.alpha == 0.25
         np.testing.assert_allclose(dec.direction, [0.5])
 
@@ -217,13 +217,13 @@ class TestStrategies:
                 g2 = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
             for losses in (None, tuple(10.0 ** rng.uniform(-3, 3, size=2))):
                 dec = moo.strategy_dispatch("mgda", g1, g2, losses=losses)
-                beta, denom = oracles.mgda_beta(g1, g2, losses, moo.DEFAULT_TIE_EPS)
+                beta, denom = oracles.mgda_beta(g1, g2, losses, moo.TIE_EPS)
                 ref = moo.blend(g1, g2, beta)
                 worst["beta"] = max(worst["beta"], abs(dec.alpha - beta))
                 worst["mgda"] = max(worst["mgda"], np.linalg.norm(dec.direction - ref)
                                     / np.linalg.norm(ref))
                 assert dec.diagnostics.get("degenerate_pair", False) == \
-                    (denom < moo.DEFAULT_TIE_EPS)
+                    (denom < moo.TIE_EPS)
             ref = oracles.pcgrad_direction(g1, g2)
             d = moo.strategy_dispatch("pcgrad", g1, g2).direction
             worst["pcgrad"] = max(worst["pcgrad"],
@@ -233,7 +233,7 @@ class TestStrategies:
         for losses in (None, (2.0, 2.0)):
             dec = moo.strategy_dispatch("mgda", g, g.copy(), losses=losses)
             assert dec.alpha == 0.5 and dec.diagnostics["degenerate_pair"]
-            assert oracles.mgda_beta(g, g.copy(), losses, moo.DEFAULT_TIE_EPS) == (0.5, 0.0)
+            assert oracles.mgda_beta(g, g.copy(), losses, moo.TIE_EPS) == (0.5, 0.0)
         # the long-double oracle rounds well below float64 only where it is wider
         if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
             assert worst["beta"] <= 1e-12, worst
