@@ -16,7 +16,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .corpus import BowDocument, Corpus, vectorize
+from .corpus import BowDocument, Corpus, Vocabulary, vectorize
 from .errors import DataError, read_lines
 
 log = logging.getLogger(__name__)
@@ -170,12 +170,9 @@ class TfidfAugmenter:
         if polarity not in ("related", "unrelated"):
             raise ValueError(f"unknown polarity {polarity!r}")
         nnz = len(doc.counts)
-        if nnz == 1:
-            if polarity == "related":
-                return BowDocument(counts=dict(doc.counts), label=doc.label)
-            n_replace = 1
-        else:
-            n_replace = math.ceil(replace_frac * nnz)
+        if nnz == 1 and polarity == "related":
+            return BowDocument(counts=dict(doc.counts), label=doc.label)
+        n_replace = math.ceil(replace_frac * nnz)
         scored = sorted(self.scores(doc).items(), key=lambda kv: (kv[1], kv[0]))
         chosen = scored[:n_replace] if polarity == "related" else scored[-n_replace:]
         victims = [w for w, _ in chosen]
@@ -202,8 +199,6 @@ def dropout_augment(doc: BowDocument, drop_frac: float = DEFAULT_DROP_FRAC,
         raise DataError("dropout_augment: empty document")
     nnz = len(doc.counts)
     n_drop = min(int(drop_frac * nnz), nnz - 1)
-    if n_drop <= 0:
-        return BowDocument(counts=dict(doc.counts), label=doc.label)
     rng = np.random.default_rng(rng_seed)
     keys = sorted(doc.counts)
     dropped = set(rng.choice(len(keys), size=n_drop, replace=False).tolist())
@@ -255,8 +250,8 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
     """Produce one (positive, negative) pair of views per nonempty document:
     LLM completions as text, every other view as a {word: count} bag of words.
 
-    An LLM completion with no vocabulary word is regenerated with the dropout
-    fallback; the TF-IDF and dropout views of a nonempty document are never empty.
+    A document whose LLM call fails or yields a completion view_document refuses gets
+    the TF-IDF pair; the TF-IDF and dropout views of a nonempty document are never empty.
     """
     if method not in ("llm", "tfidf", "dropout"):
         raise ValueError(f"unknown augmentation method {method!r}: expected llm, tfidf or dropout")
@@ -269,32 +264,41 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
             continue
         used = method
         if method == "llm":
-            opts = llm_options or {}
             text = doc.raw_text or bow_to_text(doc, vocab)
             try:
-                texts = [llm_augment(text, "related", doc_id=i, **opts),
-                         llm_augment(text, "unrelated", doc_id=i, **opts)]
-            except LlmAugmentError:
-                log.warning("doc %d: LLM augmentation failed, falling back to tfidf", i)
+                views = [llm_augment(text, polarity, doc_id=i, **(llm_options or {}))
+                         for polarity in ("related", "unrelated")]
+                for view in views:  # free text: only its in-vocabulary tokens reach training
+                    view_document(view, vocab, i)
+            except DataError as exc:  # an LlmAugmentError, or a completion with no vocabulary word
+                log.warning("doc %d: LLM augmentation unusable, falling back to tfidf: %s", i, exc)
                 used = "tfidf"
-            else:
-                # free text: only its in-vocabulary tokens reach training
-                views = [None if vectorize(t, vocab).is_empty else t for t in texts]
         if used == "tfidf":
             views = [tfidf.augment(doc, "related", replace_frac, rng_seed + 2 * i),
                      tfidf.augment(doc, "unrelated", replace_frac, rng_seed + 2 * i + 1)]
         elif used == "dropout":
             views = [dropout_augment(doc, drop_frac, rng_seed + 2 * i),
                      tfidf_negative_fallback(corpus, doc, rng_seed + 2 * i + 1)]
-        for k, view in enumerate(views):
-            if view is None:
-                views[k] = dropout_augment(doc, drop_frac, rng_seed + 2 * i + k)
-                used = "dropout"
         pos, neg = (v if isinstance(v, str) else
                     {vocab.words[w]: c for w, c in sorted(v.counts.items())} for v in views)
         triples.append(AugmentedTriple(anchor_id=i, positive_text=pos, negative_text=neg,
                                        method=used, vocab_hash=vocab_hash))
     return triples
+
+
+def view_document(view: str | dict[str, int], vocab: Vocabulary, anchor_id: int) -> BowDocument:
+    """A cached view of document anchor_id as a BowDocument over vocab, or a DataError."""
+    if isinstance(view, str):  # an LLM completion, or a cache written as text
+        doc = vectorize(view, vocab)
+        if doc.is_empty:
+            raise DataError(f"augmentation for document {anchor_id} vectorizes to an "
+                            "empty document")
+        return doc
+    unknown = view.keys() - vocab.index.keys()
+    if unknown:
+        raise DataError(f"augmentation for document {anchor_id} holds a word that is "
+                        f"not in the vocabulary: {min(unknown)!r}")
+    return BowDocument(counts={vocab.index[w]: c for w, c in view.items()})
 
 
 def _absent_words(doc: BowDocument, vocab_size: int) -> list[int]:

@@ -1,13 +1,14 @@
 """Command-line interface: the full pipeline as subcommands.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric or
-runtime error.
+Exit codes: 0 success, 1 usage/config error, 2 data error (including an output
+file that cannot be written), 3 numeric or runtime error.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import typing
 
@@ -157,6 +158,9 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
+    for path in filter(None, (args.checkpoint, args.log)):  # fail before training, not after
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"cannot write {path}: its directory does not exist")
     config = resolve_train_config(args)
     print_resolved_config(config)
     corpus = _load_vocab_corpus(args.input, args.vocab)
@@ -398,7 +402,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # an OSError is an output the program cannot write
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, ValueError, ArithmeticError) as exc:

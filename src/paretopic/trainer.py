@@ -14,9 +14,9 @@ from itertools import chain
 import numpy as np
 
 from . import moo, ntm, setcl
-from .augment import AugmentedTriple
-from .corpus import BowDocument, Corpus, vectorize
-from .errors import ConfigError, DataError, read_json
+from .augment import AugmentedTriple, view_document
+from .corpus import Corpus
+from .errors import ConfigError, DataError, NumericError, read_json
 
 Array = np.ndarray
 
@@ -118,20 +118,7 @@ def prepare_training_data(corpus: Corpus, triples: list[AugmentedTriple]) -> Tra
                             "another vocabulary (vocab_hash mismatch)")
 
     def views(field: str):  # one at a time: docs_to_matrix keeps only ids and counts
-        for i in doc_ids:
-            view = getattr(by_anchor[i], field)
-            if isinstance(view, str):  # an LLM completion, or a cache written as text
-                doc = vectorize(view, vocab)
-                if doc.is_empty:
-                    raise DataError(f"augmentation for document {i} vectorizes to an "
-                                    "empty document")
-            else:
-                unknown = view.keys() - vocab.index.keys()
-                if unknown:
-                    raise DataError(f"augmentation for document {i} holds a word that is "
-                                    f"not in the vocabulary: {min(unknown)!r}")
-                doc = BowDocument(counts={vocab.index[w]: c for w, c in view.items()})
-            yield doc
+        return (view_document(getattr(by_anchor[i], field), vocab, i) for i in doc_ids)
     X = ntm.docs_to_matrix(chain((corpus.documents[i] for i in doc_ids),
                                  views("positive_text"), views("negative_text")), vocab.size)
     return TrainData(doc_ids=doc_ids, X=X.reshape(3, len(doc_ids), vocab.size))
@@ -210,7 +197,10 @@ def fit(corpus: Corpus, triples: list[AugmentedTriple], config: TrainConfig,
         order = state.rng.permutation(n)
         for b in range(n // config.batch_size):
             batch = order[b * config.batch_size:(b + 1) * config.batch_size]
-            records.append(train_step(batch, state, data, config, step))
+            try:
+                records.append(train_step(batch, state, data, config, step))
+            except NumericError as exc:
+                raise NumericError(f"{exc} (epoch {epoch}, step {step})") from exc
             step += 1
         if checkpoint_dir is not None:
             save_checkpoint(state, os.path.join(checkpoint_dir, f"epoch_{epoch:04d}.json"))

@@ -480,22 +480,34 @@ class TestBuildCache:
            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     @settings(max_examples=300, deadline=None)
     def test_tfidf_and_dropout_views_are_never_empty(self, case, seed, frac):
-        """So only an LLM completion can need the dropout fallback."""
+        """So a TF-IDF or dropout cache needs no fallback: only an LLM completion can
+        be unusable, and the cache builder then takes the TF-IDF pair."""
         corpus, doc = case
         aug = TfidfAugmenter(corpus)
         views = [aug.augment(doc, "related", frac, seed), aug.augment(doc, "unrelated", frac, seed),
                  dropout_augment(doc, frac, seed), tfidf_negative_fallback(corpus, doc, seed)]
         assert all(view.counts for view in views)
 
-    def test_oov_llm_output_regenerated_by_dropout(self, corpus):
-        # completions full of OOV words would vectorize empty; the cache
-        # builder must swap in the dropout fallback
-        with mock.patch.object(augment, "llm_augment",
-                               return_value="zzz qqq vvv"):
+    def test_oov_llm_output_gets_the_tfidf_pair(self, corpus):
+        """Completions full of OOV words vectorize empty, so each document gets the
+        TF-IDF pair a tfidf cache holds: seeds seed + 2i and seed + 2i + 1, method tfidf."""
+        with mock.patch.object(augment, "llm_augment", return_value="zzz qqq vvv"):
             triples = build_augmentation_cache(
-                corpus, method="llm", llm_options={"endpoint": "http://x"})
-        assert all(t.method == "dropout" for t in triples)
+                corpus, method="llm", rng_seed=3, llm_options={"endpoint": "http://x"})
+        assert triples == build_augmentation_cache(corpus, method="tfidf", rng_seed=3)
+
+    def test_oov_unrelated_completion_gets_the_tfidf_pair(self, corpus):
+        """A usable related completion does not keep its document's LLM views when the
+        unrelated one has no vocabulary word: both views come from TF-IDF, and no
+        negative view is made of its anchor's own words."""
+        def complete(text, polarity, **kwargs):
+            return "apple banana" if polarity == "related" else "zzz qqq vvv"
+
+        with mock.patch.object(augment, "llm_augment", side_effect=complete):
+            triples = build_augmentation_cache(
+                corpus, method="llm", rng_seed=3, llm_options={"endpoint": "http://x"})
+        assert triples == build_augmentation_cache(corpus, method="tfidf", rng_seed=3)
+        words = corpus.vocabulary.words
         for t in triples:
-            for view in (t.positive_text, t.negative_text):
-                assert isinstance(view, dict) and view
-                assert view.keys() <= set(corpus.vocabulary.words)
+            anchor = {words[w] for w in corpus.documents[t.anchor_id].counts}
+            assert not t.negative_text.keys() <= anchor

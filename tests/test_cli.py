@@ -306,8 +306,45 @@ class TestExitCodes:
         argv = reader_argv(workdir)["train"]
         capsys.readouterr()
         assert cli.main(argv + [*TINY_TRAIN, "--set", "train.lr=1e300"]) == cli.EXIT_RUNTIME
-        assert "runtime error: setwise InfoNCE loss is non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "runtime error: setwise InfoNCE loss is non-finite" in err
+        assert "(epoch 1, step 1)" in err
         assert not (workdir / "ck.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("build-vocab", "--output"), ("augment", "--output"), ("train", "--checkpoint"),
+        ("train", "--log"), ("topics", "--output"), ("eval", "--output"),
+        ("align", "--output"), ("classify", "--output"),
+    ], ids=["build-vocab", "augment", "train-checkpoint", "train-log", "topics", "eval",
+            "align", "classify"])
+    def test_output_in_missing_directory_is_data_error(self, workdir, capsys, command, flag):
+        argv = reader_argv(workdir)
+        corpus, vocab = str(workdir / "corpus.jsonl"), str(workdir / "vocab.json")
+        ckpt, topics = workdir / "ck.json", str(workdir / "topics.txt")
+        train = argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]
+        if command != "train":
+            assert cli.main(train) == 0
+            assert cli.main(argv["topics"] + ["--output", topics]) == 0
+        base = {
+            "build-vocab": argv["build-vocab"],
+            "augment": ["augment", "--input", corpus, "--vocab", vocab],
+            "train": train,
+            "topics": argv["topics"],
+            "eval": ["eval", "--topics", topics, "--vocab", vocab, "--reference", corpus],
+            "align": ["align", "--checkpoint-a", str(ckpt), "--checkpoint-b", str(ckpt),
+                      "--vocab", vocab],
+            "classify": ["classify", "--input", corpus, "--vocab", vocab,
+                         "--checkpoint", str(ckpt)],
+        }[command]
+        missing = str(workdir / "missing" / "out")
+        capsys.readouterr()
+        assert cli.main(base + [flag, missing]) == cli.EXIT_DATA  # the last flag wins
+        out, err = capsys.readouterr()
+        assert err.startswith("data error: ") and missing in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        if command == "train":  # refused before any file is read, so nothing is trained
+            assert "# resolved config" not in out
+            assert not ckpt.exists()
 
 
 def test_config_keys_name_each_field_once(capsys):

@@ -377,54 +377,15 @@ class TestContrastivePathIsolation:
         assert recs[0]["infonce"] == recs[1]["infonce"]
 
 
-# The acceptance gate's planted fit (T=5, H=100, B=200) cut to 3 epochs of
-# 600-token documents: 24 steps, a few seconds per run.
-THREAD_FIT = """
-import hashlib, json
-from conftest import planted_corpus
-from test_acceptance import make_triples
-from paretopic import trainer
-corpus = planted_corpus(1, 1600, doc_len=600)
-cfg = trainer.TrainConfig(seed=1, num_topics=5, hidden=100, batch_size=200, epochs=3)
-state, records = trainer.fit(corpus, make_triples(corpus, 1), cfg)
-h = hashlib.sha256(json.dumps(records).encode())
-for a in state.enc.arrays() + state.dec.arrays():
-    h.update(a.tobytes())
-print(len(records), h.hexdigest())
-"""
-
-
-# A small planted fit (V=200, T=5, 8 epochs of 4 steps) under each blend strategy;
-# each line hashes the encoder and decoder bytes, then the records.
-BLEND_FITS = """
-import hashlib, json
-from conftest import planted_corpus
-from test_acceptance import make_triples
-from paretopic import trainer
-corpus = planted_corpus(1, 400, doc_len=600)
-triples = make_triples(corpus, 1)
-for strategy, alpha in [("mgda", 0.5), ("linear", 0.5), ("linear", 0.0), ("random", 0.5),
-                        ("pcgrad", 0.5)]:
-    cfg = trainer.TrainConfig(seed=1, num_topics=5, hidden=60, batch_size=100, epochs=8,
-                              moo_strategy=strategy, linear_alpha=alpha)
-    state, records = trainer.fit(corpus, triples, cfg)
-    h = hashlib.sha256()
-    for a in state.enc.arrays() + state.dec.arrays():
-        h.update(a.tobytes())
-    h.update(json.dumps(records).encode())
-    print(strategy, alpha, len(records), h.hexdigest()[:16])
-"""
-
-
-def outputs_at_blas_threads(script: str) -> list[str]:
-    """stdout of script run in a fresh interpreter at 1, then 2 BLAS threads."""
+def outputs_at_blas_threads(fit: str) -> list[str]:
+    """stdout of `fit_hashes.py fit` run in a fresh interpreter at 1, then 2 BLAS threads."""
     tests = Path(__file__).resolve().parent
     path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, path)))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, str(tests / "fit_hashes.py"), fit], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
@@ -432,12 +393,12 @@ def outputs_at_blas_threads(script: str) -> list[str]:
 
 
 def test_gate_training_independent_of_blas_threads():
-    outputs = outputs_at_blas_threads(THREAD_FIT)
+    outputs = outputs_at_blas_threads("gate")
     assert outputs[0].startswith("24 ")
     assert outputs[0] == outputs[1]
 
 
 def test_every_blend_strategy_independent_of_blas_threads():
-    outputs = outputs_at_blas_threads(BLEND_FITS)
+    outputs = outputs_at_blas_threads("blend")
     assert len(outputs[0].splitlines()) == 5
     assert outputs[0] == outputs[1]
