@@ -1,4 +1,5 @@
-"""Positive/negative document augmentation: LLM endpoint, TF-IDF and dropout fallbacks.
+"""Positive/negative document augmentation in three modes: LLM endpoint, TF-IDF word
+replacement and dropout. A document whose LLM views are unusable gets the TF-IDF pair.
 
 LLM augmentation is an offline preprocessing step; results are cached to a
 JSONL file so training stays reproducible and offline-runnable.
@@ -53,11 +54,7 @@ class AugmentedTriple:
 
 
 class LlmAugmentError(DataError):
-    """LLM endpoint failure after retries; carries the document id if known."""
-
-    def __init__(self, message, doc_id=None):
-        super().__init__(message)
-        self.doc_id = doc_id
+    """LLM endpoint failure after retries, or a completion that is not text."""
 
 
 def check_endpoint(endpoint: str) -> None:
@@ -134,11 +131,10 @@ def llm_augment(doc_text: str, polarity: str, endpoint: str,
                         attempt + 1, max_attempts, doc_id, exc)
             continue
         if not isinstance(text, str) or not text.strip():
-            raise LlmAugmentError(f"non-text completion for doc {doc_id}", doc_id=doc_id)
+            raise LlmAugmentError(f"non-text completion for doc {doc_id}")
         return text
     raise LlmAugmentError(
-        f"llm_augment failed after {max_attempts} attempts for doc {doc_id}: {last_error}",
-        doc_id=doc_id)
+        f"llm_augment failed after {max_attempts} attempts for doc {doc_id}: {last_error}")
 
 
 class TfidfAugmenter:

@@ -74,6 +74,7 @@ def _checked(kind, ok, expected: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _OPEN_FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _DF_FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _NONNEGATIVE = _checked(float, lambda v: v >= 0.0, "a number >= 0")  # also refuses nan
@@ -158,9 +159,6 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    for path in filter(None, (args.checkpoint, args.log)):  # fail before training, not after
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise DataError(f"cannot write {path}: its directory does not exist")
     config = resolve_train_config(args)
     print_resolved_config(config)
     corpus = _load_vocab_corpus(args.input, args.vocab)
@@ -180,6 +178,8 @@ def cmd_train(args) -> int:
 def cmd_topics(args) -> int:
     print(f"# topics checkpoint={args.checkpoint} top_n={args.top_n}")
     vocab = corpus_mod.Vocabulary.load(args.vocab)
+    if args.top_n > vocab.size:
+        raise ConfigError(f"--top-n {args.top_n} exceeds the vocabulary size {vocab.size}")
     state = trainer.load_checkpoint(args.checkpoint, expect_vocab_hash=vocab.content_hash())
     topics = ntm.top_words(state.dec, vocab.words, args.top_n)
     evaluate.save_topics(topics, vocab, args.output)
@@ -314,18 +314,25 @@ def build_parser() -> _Parser:
                                  "Pareto-balanced two-objective training.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-vocab", help="build a df-filtered vocabulary from JSONL")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    def command(name, func, help, needs=(), writes=(), may_write=()):
+        """A subcommand with required flags needs and writes and optional flags may_write;
+        main checks the directory of each output (writes, may_write) before func runs."""
+        p = sub.add_parser(name, help=help)
+        for flag in needs + writes:
+            p.add_argument(f"--{flag}", required=True)
+        for flag in may_write:
+            p.add_argument(f"--{flag}")
+        p.set_defaults(func=func, outputs=tuple(f.replace("-", "_") for f in writes + may_write))
+        return p
+
+    p = command("build-vocab", cmd_build_vocab, "build a df-filtered vocabulary from JSONL",
+                needs=("input",), writes=("output",))
     p.add_argument("--min-df", type=int, default=corpus_mod.DEFAULT_MIN_DF)
     p.add_argument("--max-df-frac", type=_DF_FRACTION, default=corpus_mod.DEFAULT_MAX_DF_FRAC)
     p.add_argument("--max-size", type=_POSITIVE_INT, default=corpus_mod.DEFAULT_MAX_SIZE)
-    p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("augment", help="build the positive/negative augmentation cache")
-    p.add_argument("--input", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--output", required=True)
+    p = command("augment", cmd_augment, "build the positive/negative augmentation cache",
+                needs=("input", "vocab"), writes=("output",))
     p.add_argument("--mode", choices=["llm", "tfidf", "dropout"], default="tfidf")
     p.add_argument("--endpoint", help="chat-completions endpoint URL (llm mode)")
     p.add_argument("--model", default="gpt-3.5-turbo")
@@ -333,64 +340,36 @@ def build_parser() -> _Parser:
                                               "a finite number > 0"), default=30.0)
     p.add_argument("--replace-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_REPLACE_FRAC)
     p.add_argument("--drop-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_DROP_FRAC)
-    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0)
-    p.set_defaults(func=cmd_augment)
+    p.add_argument("--seed", type=_SEED, default=0)
 
-    p = sub.add_parser("train", help="train the topic model (defaults: K=4 S=8 "
-                                     "tau=0.2 lr=0.002 B=200)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--cache", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--log")
+    p = command("train", cmd_train, "train the topic model (defaults: K=4 S=8 "
+                                    "tau=0.2 lr=0.002 B=200)",
+                needs=("input", "vocab", "cache"), writes=("checkpoint",), may_write=("log",))
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, help="mandatory unless train.seed is in the config")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable); flags win over the file")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("topics", help="dump top words per topic from a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--output", required=True)
+    p = command("topics", cmd_topics, "dump top words per topic from a checkpoint",
+                needs=("checkpoint", "vocab"), writes=("output",))
     p.add_argument("--top-n", type=_POSITIVE_INT, default=evaluate.DEFAULT_TOP_N)
-    p.set_defaults(func=cmd_topics)
 
-    p = sub.add_parser("eval", help="NPMI and topic diversity against a reference corpus")
-    p.add_argument("--topics", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_eval)
+    command("eval", cmd_eval, "NPMI and topic diversity against a reference corpus",
+            needs=("topics", "vocab", "reference"), writes=("output",))
 
-    p = sub.add_parser("align", help="competitive-linking alignment of two checkpoints")
-    p.add_argument("--checkpoint-a", required=True)
-    p.add_argument("--checkpoint-b", required=True)
-    p.add_argument("--vocab", required=True)
+    p = command("align", cmd_align, "competitive-linking alignment of two checkpoints",
+                needs=("checkpoint-a", "checkpoint-b", "vocab"), may_write=("output",))
     p.add_argument("--threshold", type=_NONNEGATIVE, default=evaluate.DEFAULT_ALIGN_THRESHOLD)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("classify", help="export theta features and score the "
-                                        "logistic proxy (stand-in for the external "
-                                        "Random Forest protocol)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"), default=0)
-    p.set_defaults(func=cmd_classify)
+    p = command("classify", cmd_classify, "export theta features and score the "
+                                          "logistic proxy (stand-in for the external "
+                                          "Random Forest protocol)",
+                needs=("input", "vocab", "checkpoint"), writes=("output",))
+    p.add_argument("--seed", type=_SEED, default=0)
 
-    p = sub.add_parser("probe", help="cosine similarity of two texts' topic vectors")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--text-a", required=True)
-    p.add_argument("--text-b", required=True)
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("selftest", help="gradient checks and solver oracle suite")
-    p.set_defaults(func=cmd_selftest)
-
+    command("probe", cmd_probe, "cosine similarity of two texts' topic vectors",
+            needs=("checkpoint", "vocab", "text-a", "text-b"))
+    command("selftest", cmd_selftest, "gradient checks and solver oracle suite")
     return parser
 
 
@@ -398,6 +377,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for path in filter(None, (getattr(args, flag) for flag in args.outputs)):
+            if not os.path.isdir(os.path.dirname(path) or "."):  # fail before any read, not after
+                raise DataError(f"cannot write {path}: its directory does not exist")
         return args.func(args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

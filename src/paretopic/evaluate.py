@@ -18,6 +18,11 @@ Array = np.ndarray
 DEFAULT_NPMI_EPS = 1e-12
 DEFAULT_ALIGN_THRESHOLD = 0.5
 DEFAULT_TOP_N = 10
+# the logistic proxy's ridge weight, gradient steps, step size and held-out share
+PROXY_L2 = 1e-4
+PROXY_STEPS = 500
+PROXY_LR = 0.5
+PROXY_HOLDOUT_FRAC = 0.2
 
 
 @dataclass
@@ -172,9 +177,7 @@ def macro_f1(y_true: Array, y_pred: Array, n_classes: int) -> float:
     return float(np.mean(f1s))
 
 
-def logistic_proxy_f1(features: Array, labels: Array, l2: float = 1e-4,
-                      steps: int = 500, lr: float = 0.5,
-                      holdout_frac: float = 0.2, seed: int = 0) -> float:
+def logistic_proxy_f1(features: Array, labels: Array, seed: int = 0) -> float:
     """Multinomial logistic regression by full-batch gradient descent.
 
     Returns macro-F1 on a deterministic held-out split; a lightweight proxy
@@ -187,18 +190,18 @@ def logistic_proxy_f1(features: Array, labels: Array, l2: float = 1e-4,
     C = len(classes)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_test = max(1, int(holdout_frac * n))
+    n_test = max(1, int(PROXY_HOLDOUT_FRAC * n))
     test_idx, train_idx = order[:n_test], order[n_test:]
     Xtr, ytr = features[train_idx], y[train_idx]
     Xte, yte = features[test_idx], y[test_idx]
     W = np.zeros((d, C))
     b = np.zeros(C)
     onehot = np.eye(C)[ytr]
-    for _ in range(steps):
+    for _ in range(PROXY_STEPS):
         probs = diffnet.softmax(Xtr @ W + b)
         dlogits = (probs - onehot) / len(ytr)
-        W -= lr * (Xtr.T @ dlogits + l2 * W)
-        b -= lr * dlogits.sum(axis=0)
+        W -= PROXY_LR * (Xtr.T @ dlogits + PROXY_L2 * W)
+        b -= PROXY_LR * dlogits.sum(axis=0)
     pred = (Xte @ W + b).argmax(axis=1)
     return macro_f1(yte, pred, C)
 

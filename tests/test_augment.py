@@ -98,7 +98,7 @@ class TestLlmAugment:
                             max_attempts=3, backoff=1.0)
         assert send.call_count == 3
         assert [c.args[0] for c in sleep.call_args_list] == [1.0, 2.0]
-        assert exc.value.doc_id == 17
+        assert "for doc 17: " in str(exc.value)
 
     def test_non_text_completion_raises_without_retry(self):
         with stub_opener(fake_response(body=chat_body("  "))) as send:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,39 +313,47 @@ class TestExitCodes:
         assert not (workdir / "ck.json").exists()
 
     @pytest.mark.parametrize("command, flag", [
-        ("build-vocab", "--output"), ("augment", "--output"), ("train", "--checkpoint"),
-        ("train", "--log"), ("topics", "--output"), ("eval", "--output"),
-        ("align", "--output"), ("classify", "--output"),
-    ], ids=["build-vocab", "augment", "train-checkpoint", "train-log", "topics", "eval",
-            "align", "classify"])
+        ("build-vocab", "--output"), ("augment", "--output"), ("augment-llm", "--output"),
+        ("train", "--checkpoint"), ("train", "--log"), ("topics", "--output"),
+        ("eval", "--output"), ("align", "--output"), ("classify", "--output"),
+    ], ids=["build-vocab", "augment", "augment-llm", "train-checkpoint", "train-log", "topics",
+            "eval", "align", "classify"])
     def test_output_in_missing_directory_is_data_error(self, workdir, capsys, command, flag):
-        argv = reader_argv(workdir)
+        # every input is missing too, so only a check made before any read names the output;
+        # the llm case has real inputs and must not ask the endpoint for views it cannot write
+        gone = str(workdir / "gone.json")
         corpus, vocab = str(workdir / "corpus.jsonl"), str(workdir / "vocab.json")
-        ckpt, topics = workdir / "ck.json", str(workdir / "topics.txt")
-        train = argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]
-        if command != "train":
-            assert cli.main(train) == 0
-            assert cli.main(argv["topics"] + ["--output", topics]) == 0
         base = {
-            "build-vocab": argv["build-vocab"],
-            "augment": ["augment", "--input", corpus, "--vocab", vocab],
-            "train": train,
-            "topics": argv["topics"],
-            "eval": ["eval", "--topics", topics, "--vocab", vocab, "--reference", corpus],
-            "align": ["align", "--checkpoint-a", str(ckpt), "--checkpoint-b", str(ckpt),
-                      "--vocab", vocab],
-            "classify": ["classify", "--input", corpus, "--vocab", vocab,
-                         "--checkpoint", str(ckpt)],
+            "build-vocab": ["build-vocab", "--input", gone],
+            "augment": ["augment", "--input", gone, "--vocab", gone],
+            "augment-llm": ["augment", "--input", corpus, "--vocab", vocab, "--mode", "llm",
+                            "--endpoint", "http://localhost/v1/chat/completions"],
+            "train": ["train", "--input", gone, "--vocab", gone, "--cache", gone,
+                      "--checkpoint", str(workdir / "ck.json"), "--seed", "1"],
+            "topics": ["topics", "--checkpoint", gone, "--vocab", gone],
+            "eval": ["eval", "--topics", gone, "--vocab", gone, "--reference", gone],
+            "align": ["align", "--checkpoint-a", gone, "--checkpoint-b", gone, "--vocab", gone],
+            "classify": ["classify", "--input", gone, "--vocab", gone, "--checkpoint", gone],
         }[command]
+        if command == "augment-llm":
+            reader_argv(workdir)  # writes vocab.json
         missing = str(workdir / "missing" / "out")
         capsys.readouterr()
-        assert cli.main(base + [flag, missing]) == cli.EXIT_DATA  # the last flag wins
+        with mock.patch.object(augment, "llm_augment", return_value="apple fruit") as llm:
+            assert cli.main(base + [flag, missing]) == cli.EXIT_DATA  # the last flag wins
         out, err = capsys.readouterr()
-        assert err.startswith("data error: ") and missing in err and err.count("\n") == 1
-        assert "Traceback" not in err
-        if command == "train":  # refused before any file is read, so nothing is trained
-            assert "# resolved config" not in out
-            assert not ckpt.exists()
+        assert out == ""
+        assert err == f"data error: cannot write {missing}: its directory does not exist\n"
+        assert llm.call_count == 0
+
+    def test_top_n_above_vocabulary_size_is_usage_error(self, workdir, capsys):
+        argv = reader_argv(workdir)["topics"]  # its checkpoint is missing: refused before that read
+        size = Vocabulary.load(str(workdir / "vocab.json")).size
+        capsys.readouterr()
+        assert cli.main(argv + ["--top-n", str(size + 1)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: --top-n {size + 1} exceeds the vocabulary size {size}" in err
+        assert not (workdir / "topics.json").exists()
 
 
 def test_config_keys_name_each_field_once(capsys):
