@@ -377,8 +377,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for path in filter(None, (getattr(args, flag) for flag in args.outputs)):
-            if not os.path.isdir(os.path.dirname(path) or "."):  # fail before any read, not after
+        outputs = (getattr(args, flag) for flag in args.outputs)
+        for path in (p for p in outputs if p is not None):  # fail before any read, not after
+            if not path:
+                raise DataError("cannot write '': the path is empty")
+            if os.path.isdir(path):
+                raise DataError(f"cannot write {path}: it is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
                 raise DataError(f"cannot write {path}: its directory does not exist")
         return args.func(args)
     except ConfigError as exc:

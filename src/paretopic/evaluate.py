@@ -256,6 +256,8 @@ def load_topics(path: str, vocab: Vocabulary) -> list[list[int]]:
         for w in line.split():
             if w not in vocab.index:
                 raise DataError(f"{path}:{lineno}: word {w!r} is not in the vocabulary")
+            if vocab.index[w] in row:  # NPMI scores only pairs of distinct words
+                raise DataError(f"{path}:{lineno}: word {w!r} appears twice")
             row.append(vocab.index[w])
         topics.append(row)
     if not topics:

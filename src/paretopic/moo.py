@@ -84,29 +84,18 @@ def alpha_grid_oracle(g1: Array, g2: Array, steps: int = 10_000) -> float:
     return float(alphas[int(h.argmin())])
 
 
-def blend(g1: Array, g2: Array, alpha: float) -> Array:
-    """Elementwise convex combination alpha*g1 + (1-alpha)*g2."""
-    g1, g2 = _check_pair(g1, g2)
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if alpha == 0.0:
-        return g2.copy()
-    if alpha == 1.0:
-        return g1.copy()
-    return alpha * g1 + (1.0 - alpha) * g2
-
-
 def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5,
                       rng: np.random.Generator | None = None,
                       losses: tuple[float, float] | None = None) -> BlendDecision:
-    """Pick a blend direction for (g1, g2) = (contrastive, ELBO) gradients.
+    """Pick a blend direction for (g1, g2) = (contrastive, ELBO) gradients:
+    each strategy picks two weights, and the direction is w1 g1 + w2 g2.
 
-    ``mgda`` needs the two losses for its loss+ scaling: with
-    c_i = L_i sqrt(g_ii), it solves the Gram entries g_ij / (c_i c_j) for a.
-    The min-norm point a g1/c1 + (1-a) g2/c2 is a positive multiple of
-    beta g1 + (1-beta) g2 with beta = (a/c1) / (a/c1 + (1-a)/c2). The
-    returned alpha is beta and the direction is blend(g1, g2, beta). If
-    ``losses`` is None or either c_i is not positive (a zero loss or
+    ``mgda``, ``linear`` and ``random`` pick a convex pair (alpha, 1 - alpha)
+    with alpha in [0, 1]. ``mgda`` needs the two losses for its loss+ scaling:
+    with c_i = L_i sqrt(g_ii), it solves the Gram entries g_ij / (c_i c_j) for
+    a. The min-norm point a g1/c1 + (1-a) g2/c2 is a positive multiple of
+    beta g1 + (1-beta) g2 with beta = (a/c1) / (a/c1 + (1-a)/c2), and alpha is
+    beta. If ``losses`` is None or either c_i is not positive (a zero loss or
     gradient) the solve runs on G itself and beta = a. The diagnostics flag
     a ``degenerate_pair`` when the solved pair is closer than TIE_EPS.
     ``pcgrad`` projects each conflicting gradient onto the other's normal
@@ -125,21 +114,22 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5
             alpha = (a / c1) / (a / c1 + b / c2)
         else:
             alpha, _, denom = _min_norm(g11, g12, g22)
-        direction = blend(g1, g2, alpha)
     elif name == "linear":
         alpha = float(linear_alpha)
-        direction = blend(g1, g2, alpha)
     elif name == "random":
         if rng is None:
             raise ValueError("random strategy requires a seeded rng")
         alpha = float(rng.uniform(0.0, 1.0))
-        direction = blend(g1, g2, alpha)
     elif name == "pcgrad":
         alpha = None
         w1, w2 = (1.0, 1.0) if g12 >= 0.0 else (1.0 - g12 / g11, 1.0 - g12 / g22)
-        direction = w1 * g1 + w2 * g2
     else:
         raise ValueError(f"unknown strategy {name!r}, expected one of {STRATEGIES}")
+    if alpha is not None:
+        if not (0.0 <= alpha <= 1.0):
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        w1, w2 = alpha, 1.0 - alpha
+    direction = w1 * g1 + w2 * g2
     diagnostics = {
         "g1_norm": n1,
         "g2_norm": n2,

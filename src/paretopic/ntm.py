@@ -79,14 +79,11 @@ def decoder_shapes(V: int, T: int):
 
 def init_params(V: int, H: int, T: int, rng: np.random.Generator):
     """Uniform [-0.05, 0.05] weights, zero biases."""
-    def w(shape):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+    def init(shapes):
+        return [rng.uniform(-INIT_SCALE, INIT_SCALE, size=s) if len(s) == 2 else np.zeros(s)
+                for s in shapes]
 
-    enc = EncoderParams(W1=w((V, H)), b1=np.zeros(H),
-                        W_mu=w((H, T)), b_mu=np.zeros(T),
-                        W_lv=w((H, T)), b_lv=np.zeros(T))
-    dec = DecoderParams(beta=w((T, V)), b_dec=np.zeros(V))
-    return enc, dec
+    return EncoderParams(*init(encoder_shapes(V, H, T))), DecoderParams(*init(decoder_shapes(V, T)))
 
 
 def pack_encoder(enc: EncoderParams) -> Array:

@@ -142,6 +142,11 @@ def mgda_beta(g1: Array, g2: Array, losses, tie_eps: float) -> tuple[float, floa
     return float(w1 / (w1 + w2)), float(denom)
 
 
+def blend(g1: Array, g2: Array, alpha: float) -> Array:
+    """The convex combination alpha g1 + (1 - alpha) g2, written out."""
+    return alpha * g1 + (1.0 - alpha) * g2
+
+
 def pcgrad_direction(g1: Array, g2: Array) -> Array:
     """PCGrad (Yu et al. 2020) as two explicit projections: each gradient
     that conflicts with the other loses its component along the other."""

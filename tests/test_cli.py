@@ -312,13 +312,17 @@ class TestExitCodes:
         assert "(epoch 1, step 1)" in err
         assert not (workdir / "ck.json").exists()
 
-    @pytest.mark.parametrize("command, flag", [
-        ("build-vocab", "--output"), ("augment", "--output"), ("augment-llm", "--output"),
-        ("train", "--checkpoint"), ("train", "--log"), ("topics", "--output"),
-        ("eval", "--output"), ("align", "--output"), ("classify", "--output"),
-    ], ids=["build-vocab", "augment", "augment-llm", "train-checkpoint", "train-log", "topics",
-            "eval", "align", "classify"])
-    def test_output_in_missing_directory_is_data_error(self, workdir, capsys, command, flag):
+    @pytest.mark.parametrize("command, flag, output", [
+        pytest.param(command, flag, output, id=case if output == "missing" else f"{case}-{output}")
+        for case, command, flag in [
+            ("build-vocab", "build-vocab", "--output"), ("augment", "augment", "--output"),
+            ("augment-llm", "augment-llm", "--output"),
+            ("train-checkpoint", "train", "--checkpoint"), ("train-log", "train", "--log"),
+            ("topics", "topics", "--output"), ("eval", "eval", "--output"),
+            ("align", "align", "--output"), ("classify", "classify", "--output")]
+        for output in ("missing", "directory", "empty")])
+    def test_output_in_missing_directory_is_data_error(self, workdir, capsys, command, flag,
+                                                       output):
         # every input is missing too, so only a check made before any read names the output;
         # the llm case has real inputs and must not ask the endpoint for views it cannot write
         gone = str(workdir / "gone.json")
@@ -337,13 +341,19 @@ class TestExitCodes:
         }[command]
         if command == "augment-llm":
             reader_argv(workdir)  # writes vocab.json
-        missing = str(workdir / "missing" / "out")
+        missing, adir = str(workdir / "missing" / "out"), workdir / "adir"
+        adir.mkdir()
+        path, refusal = {
+            "missing": (missing, f"{missing}: its directory does not exist"),
+            "directory": (str(adir), f"{adir}: it is a directory"),
+            "empty": ("", "'': the path is empty"),
+        }[output]
         capsys.readouterr()
         with mock.patch.object(augment, "llm_augment", return_value="apple fruit") as llm:
-            assert cli.main(base + [flag, missing]) == cli.EXIT_DATA  # the last flag wins
+            assert cli.main(base + [flag, path]) == cli.EXIT_DATA  # the last flag wins
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"data error: cannot write {missing}: its directory does not exist\n"
+        assert err == f"data error: cannot write {refusal}\n"
         assert llm.call_count == 0
 
     def test_top_n_above_vocabulary_size_is_usage_error(self, workdir, capsys):

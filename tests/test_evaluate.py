@@ -333,3 +333,10 @@ class TestTopicsIo:
         path.write_text("aa zz\n")
         with pytest.raises(DataError, match="zz"):
             evaluate.load_topics(str(path), vocab)
+
+    def test_repeated_word_rejected(self, tmp_path):
+        vocab = Vocabulary(words=["aa", "bb"], df=[1, 1])
+        path = tmp_path / "topics.txt"
+        path.write_text("aa bb\nbb aa bb\n")
+        with pytest.raises(DataError, match=r"topics\.txt:2: word 'bb' appears twice$"):
+            evaluate.load_topics(str(path), vocab)

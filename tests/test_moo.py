@@ -60,7 +60,7 @@ class TestAlphaMinNorm:
             a = moo.alpha_min_norm(g1, g2)
             if not (0.0 < a < 1.0):
                 continue
-            d = moo.blend(g1, g2, a)
+            d = oracles.blend(g1, g2, a)
             dd = float(d @ d)
             scale = max(1.0, float(g1 @ g1), float(g2 @ g2))
             assert abs(float(d @ g1) - dd) <= 1e-8 * scale
@@ -72,7 +72,7 @@ class TestAlphaMinNorm:
         rng = np.random.default_rng(2)
         for _ in range(300):
             g1, g2 = random_pair(rng)
-            d = moo.blend(g1, g2, moo.alpha_min_norm(g1, g2))
+            d = oracles.blend(g1, g2, moo.alpha_min_norm(g1, g2))
             bound = min(np.linalg.norm(g1), np.linalg.norm(g2))
             assert np.linalg.norm(d) <= bound * (1 + 1e-12)
 
@@ -85,24 +85,6 @@ class TestGridOracle:
     def test_endpoints_reachable(self):
         assert moo.alpha_grid_oracle(np.array([5.0]), np.array([1.0])) == 0.0
         assert moo.alpha_grid_oracle(np.array([1.0]), np.array([5.0])) == 1.0
-
-
-class TestBlend:
-    def test_midpoint(self):
-        d = moo.blend(np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.5)
-        np.testing.assert_allclose(d, [1.0, 1.0])
-
-    def test_endpoints_are_copies(self):
-        g1 = np.array([1.0, 2.0])
-        g2 = np.array([3.0, 4.0])
-        d0 = moo.blend(g1, g2, 0.0)
-        np.testing.assert_array_equal(d0, g2)
-        d0[0] = 99.0
-        assert g2[0] == 3.0
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            moo.blend(np.ones(2), np.ones(2), 1.5)
 
 
 class TestStrategies:
@@ -120,9 +102,9 @@ class TestStrategies:
             # the Gram solve scales the entries, not the vectors: equal up to rounding
             assert abs(dec.alpha - (a / c1) / (a / c1 + (1 - a) / c2)) <= 1e-12
             np.testing.assert_array_equal(dec.direction,
-                                          moo.blend(g1, g2, dec.alpha))
+                                          oracles.blend(g1, g2, dec.alpha))
             # ... and the step is that pair's min-norm point, positively rescaled
-            point = moo.blend(g1 / c1, g2 / c2, a)
+            point = oracles.blend(g1 / c1, g2 / c2, a)
             np.testing.assert_allclose(dec.direction * (a / c1 + (1 - a) / c2), point,
                                        rtol=0, atol=1e-12 * np.linalg.norm(point))
             interior += 0.0 < a < 1.0
@@ -130,7 +112,7 @@ class TestStrategies:
             raw = moo.strategy_dispatch("mgda", g1, g2)
             assert raw.alpha == moo.alpha_min_norm(g1, g2)
             np.testing.assert_array_equal(raw.direction,
-                                          moo.blend(g1, g2, raw.alpha))
+                                          oracles.blend(g1, g2, raw.alpha))
         assert interior > 10
 
     def test_mgda_direction_descends_both_losses(self):
@@ -158,13 +140,30 @@ class TestStrategies:
         with np.errstate(all="raise"):
             dec = moo.strategy_dispatch("mgda", g1, g2, losses=(loss, 3.0))
         assert dec.alpha == moo.alpha_min_norm(g1, g2)
-        np.testing.assert_array_equal(dec.direction, moo.blend(g1, g2, dec.alpha))
+        np.testing.assert_array_equal(dec.direction, oracles.blend(g1, g2, dec.alpha))
 
     def test_linear_uses_config_alpha(self):
         dec = moo.strategy_dispatch("linear", np.array([2.0]), np.array([0.0]),
                                     linear_alpha=0.25)
         assert dec.alpha == 0.25
         np.testing.assert_allclose(dec.direction, [0.5])
+
+    def test_linear_midpoint(self):
+        dec = moo.strategy_dispatch("linear", np.array([2.0, 0.0]), np.array([0.0, 2.0]))
+        np.testing.assert_allclose(dec.direction, [1.0, 1.0])
+
+    def test_linear_endpoint_direction_is_a_new_array(self):
+        g1 = np.array([1.0, 2.0])
+        g2 = np.array([3.0, 4.0])
+        d0 = moo.strategy_dispatch("linear", g1, g2, linear_alpha=0.0).direction
+        np.testing.assert_array_equal(d0, g2)
+        d0[0] = 99.0
+        assert g2[0] == 3.0
+
+    @pytest.mark.parametrize("alpha", [1.5, -0.5, float("nan")])
+    def test_linear_alpha_out_of_range(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            moo.strategy_dispatch("linear", np.ones(2), np.ones(2), linear_alpha=alpha)
 
     def test_random_is_seed_reproducible(self):
         g1, g2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -218,7 +217,7 @@ class TestStrategies:
             for losses in (None, tuple(10.0 ** rng.uniform(-3, 3, size=2))):
                 dec = moo.strategy_dispatch("mgda", g1, g2, losses=losses)
                 beta, denom = oracles.mgda_beta(g1, g2, losses, moo.TIE_EPS)
-                ref = moo.blend(g1, g2, beta)
+                ref = oracles.blend(g1, g2, beta)
                 worst["beta"] = max(worst["beta"], abs(dec.alpha - beta))
                 worst["mgda"] = max(worst["mgda"], np.linalg.norm(dec.direction - ref)
                                     / np.linalg.norm(ref))
