@@ -219,8 +219,9 @@ def cmd_align(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # The built-in score is a logistic-regression proxy, not the Random Forest
-    # protocol; use the exported CSV with an external classifier for that.
+    # The built-in score is a ridge proxy (one-hot labels fit on [theta 1] with
+    # penalty λ = 1e-4, in closed form), not the Random Forest protocol; use
+    # the exported CSV with an external classifier for that.
     print(f"# classify input={args.input} checkpoint={args.checkpoint}")
     corpus = _load_vocab_corpus(args.input, args.vocab)
     vocab = corpus.vocabulary
@@ -232,7 +233,7 @@ def cmd_classify(args) -> int:
     if f1 is None:
         print("corpus has unlabeled documents; proxy classifier skipped")
     else:
-        print(f"logistic-proxy macro-F1 = {f1:.4f}")
+        print(f"ridge-proxy macro-F1 = {f1:.4f}")
     return EXIT_OK
 
 
@@ -362,7 +363,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=_NONNEGATIVE, default=evaluate.DEFAULT_ALIGN_THRESHOLD)
 
     p = command("classify", cmd_classify, "export theta features and score the "
-                                          "logistic proxy (stand-in for the external "
+                                          "ridge proxy (stand-in for the external "
                                           "Random Forest protocol)",
                 needs=("input", "vocab", "checkpoint"), writes=("output",))
     p.add_argument("--seed", type=_SEED, default=0)

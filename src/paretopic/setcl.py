@@ -97,9 +97,9 @@ def _pool_members(A: Array, members: Array, mode: str):
     gradient each of those rows receives.
     """
     if mode in ("min", "max"):
-        arg = (A.argmin(axis=1) if mode == "min" else A.argmax(axis=1))[:, None, :]
-        rows = np.take_along_axis(members[:, :, None], arg, axis=1)
-        return np.take_along_axis(A, arg, axis=1)[:, 0, :], rows, 1
+        arg = A.argmin(axis=1) if mode == "min" else A.argmax(axis=1)  # [N,T]
+        n = np.arange(A.shape[0])[:, None]
+        return A[n, arg, np.arange(A.shape[2])], members[n, arg][:, None, :], 1
     if mode == "mean":
         return A.mean(axis=1), members[:, :, None], members.shape[1]
     if mode == "sum":

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from paretopic import diffnet, ntm, setcl, trainer
+from paretopic import diffnet, evaluate, ntm, setcl, trainer
 from paretopic.corpus import BowDocument, Corpus, Vocabulary, vectorize
 from paretopic.errors import DataError, NumericError
 
@@ -176,6 +176,22 @@ def align_topics(scores: list[list[float]], threshold: float) -> list[tuple[int,
         free_a.discard(best[0])
         free_b.discard(best[1])
     return matching
+
+
+def ridge_proxy_f1(features: Array, y: Array, seed: int) -> float:
+    """``evaluate.ridge_proxy_f1`` for integer labels 0..C-1 on the same seeded
+    split, its ridge problem solved as the stacked least-squares system
+    [[X 1], [√λ I]] W = [[Y], [0]] over the training rows."""
+    n, d = features.shape
+    C = int(y.max()) + 1
+    order = np.random.default_rng(seed).permutation(n)
+    n_test = max(1, int(evaluate.PROXY_HOLDOUT_FRAC * n))
+    test, train = order[:n_test], order[n_test:]
+    X1 = np.hstack([features, np.ones((n, 1))])
+    A = np.vstack([X1[train], math.sqrt(evaluate.PROXY_L2) * np.eye(d + 1)])
+    Y = np.vstack([np.eye(C)[y[train]], np.zeros((d + 1, C))])
+    W = np.linalg.lstsq(A, Y, rcond=None)[0]
+    return evaluate.macro_f1(y[test], (X1[test] @ W).argmax(axis=1), C)
 
 
 def theta_from_z(z: Array) -> Array:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -610,6 +611,19 @@ class TestCommandOutputs:
         printed = capsys.readouterr().out.split("\n", 1)[1]  # after the "# align" line
         assert json.loads(out.read_text()) == json.loads(printed)
         assert len(json.loads(printed)) == 3
+
+    def test_classify_labeled_corpus_prints_the_score_the_benchmark_reads(self, workdir,
+                                                                          capsys):
+        argv = reader_argv(workdir)
+        assert cli.main(argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]) == 0
+        capsys.readouterr()
+        assert cli.main(["classify", "--input", str(workdir / "corpus.jsonl"),
+                         "--vocab", str(workdir / "vocab.json"),
+                         "--checkpoint", str(workdir / "ck.json"),
+                         "--output", str(workdir / "features.csv")]) == 0
+        # bench/workloads.py parses the score with this pattern
+        scores = re.findall(r"macro-F1 = ([0-9.]+)", capsys.readouterr().out)
+        assert len(scores) == 1 and 0.0 <= float(scores[0]) <= 1.0
 
     def test_classify_unlabeled_corpus_writes_features_and_skips_proxy(self, tmp_path,
                                                                         tiny_texts, capsys):

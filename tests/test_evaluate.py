@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from paretopic import evaluate, ntm
+from paretopic import diffnet, evaluate, ntm
 from paretopic.corpus import BowDocument, Corpus, Vocabulary
 from paretopic.errors import DataError
 
@@ -257,13 +257,13 @@ class TestClassification:
         y = np.array([i % 2 for i in range(n)])
         X[:, 0] = y + 0.01 * rng.standard_normal(n)
         X[:, 1] = 1 - y + 0.01 * rng.standard_normal(n)
-        assert evaluate.logistic_proxy_f1(X, y) == 1.0
+        assert evaluate.ridge_proxy_f1(X, y) == 1.0
 
     def test_logistic_proxy_uninformative_features(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((200, 3))
         y = np.array([i % 2 for i in range(200)])
-        f1 = evaluate.logistic_proxy_f1(X, y)
+        f1 = evaluate.ridge_proxy_f1(X, y)
         assert f1 < 0.75  # around chance, far from separable
 
     def test_logistic_proxy_mixed_label_types(self):
@@ -273,7 +273,18 @@ class TestClassification:
         y = np.array([i % 2 for i in range(n)])
         X = np.stack([y, 1 - y], axis=1) + 0.01 * rng.standard_normal((n, 2))
         mixed = np.array([0 if v == 0 else "a" for v in y], dtype=object)
-        assert evaluate.logistic_proxy_f1(X, mixed) == evaluate.logistic_proxy_f1(X, y)
+        assert evaluate.ridge_proxy_f1(X, mixed) == evaluate.ridge_proxy_f1(X, y)
+
+    def test_ridge_proxy_matches_least_squares_oracle(self):
+        # theta-like rows: T=50 topic mixtures, 20 overlapping classes, 2,000 rows
+        rng = np.random.default_rng(11)
+        y = rng.integers(0, 20, 2000)
+        centers = rng.standard_normal((20, 50))
+        X = diffnet.softmax(centers[y] + rng.standard_normal((2000, 50)))
+        for seed in (0, 1):
+            f1 = evaluate.ridge_proxy_f1(X, y, seed=seed)
+            assert 0.5 < f1 < 1.0  # neither trivial nor perfect
+            assert f1 == oracles.ridge_proxy_f1(X, y, seed)
 
     def test_feature_export(self, tmp_path):
         rng = np.random.default_rng(7)
