@@ -13,18 +13,40 @@ from .errors import NumericError
 Array = np.ndarray
 
 
+def buffer(ws: dict | None, name: str, shape: tuple, dtype=np.float64) -> Array:
+    """An uninitialised array of shape and dtype, kept in the workspace ws under
+    (name, shape, dtype) and handed out again on every later request, or fresh when
+    ws is None. A loop that passes one ws to same-shaped calls allocates on its first
+    pass only; an array from ws is valid until the next call that asks for it."""
+    if ws is None:
+        return np.empty(shape, dtype)
+    key = (name, shape, dtype)
+    if key not in ws:
+        ws[key] = np.empty(shape, dtype)
+    return ws[key]
+
+
 def sigmoid(x: Array) -> Array:
-    """1 / (1 + e^-x), from e = exp(-|x|) <= 1 so neither branch overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """1 / (1 + e^-x), as softplus_and_sigmoid derives it."""
+    return softplus_and_sigmoid(x)[1]
 
 
-def softplus(x: Array) -> Array:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def softplus_backward(x: Array, dy: Array) -> Array:
-    return dy * sigmoid(x)
+def softplus_and_sigmoid(x: Array, ws: dict | None = None) -> tuple[Array, Array]:
+    """softplus(x) = max(x, 0) + log1p(e) and its derivative sigmoid(x), 1 / (1 + e)
+    where x >= 0 and e / (1 + e) elsewhere, from one e = exp(-|x|) <= 1, so neither
+    overflows."""
+    e = np.abs(x, out=buffer(ws, "softplus.e", x.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    sp = np.log1p(e, out=buffer(ws, "softplus", x.shape))
+    sig = np.maximum(x, 0.0, out=buffer(ws, "sigmoid", x.shape))
+    sp += sig
+    # sigmoid's numerator: max(e, 1) = 1 where x >= 0, max(e, 0) = e elsewhere
+    np.greater_equal(x, 0.0, out=sig)
+    np.maximum(e, sig, out=sig)
+    e += 1.0
+    sig /= e
+    return sp, sig
 
 
 def softmax(x: Array) -> Array:
@@ -37,11 +59,6 @@ def softmax(x: Array) -> Array:
 def softmax_backward(y: Array, dy: Array) -> Array:
     """Backward through softmax given its output y."""
     return y * (dy - (y * dy).sum(axis=-1, keepdims=True))
-
-
-def log_softmax(x: Array) -> Array:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def grad_check(loss_and_grad, params: Array, h: float = 1e-5,

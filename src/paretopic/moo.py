@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diffnet import buffer
+
 Array = np.ndarray
 
 TIE_EPS = 1e-12  # a pair closer than this (||g1 - g2||^2) is a tie
@@ -39,14 +41,14 @@ def _check_pair(g1: Array, g2: Array):
     return g1, g2
 
 
-def _dot(a: Array, b: Array) -> float:
+def _dot(a: Array, b: Array, ws: dict | None = None) -> float:
     """Inner product by numpy's own summation, independent of BLAS threads."""
-    return float((a * b).sum())
+    return float(np.multiply(a, b, out=buffer(ws, "moo.product", a.shape)).sum())
 
 
-def _gram(g1: Array, g2: Array) -> tuple[float, float, float]:
+def _gram(g1: Array, g2: Array, ws: dict | None = None) -> tuple[float, float, float]:
     """The pair's Gram entries (g1.g1, g1.g2, g2.g2)."""
-    return _dot(g1, g1), _dot(g1, g2), _dot(g2, g2)
+    return _dot(g1, g1, ws), _dot(g1, g2, ws), _dot(g2, g2, ws)
 
 
 def _min_norm(g11: float, g12: float, g22: float):
@@ -86,7 +88,8 @@ def alpha_grid_oracle(g1: Array, g2: Array, steps: int = 10_000) -> float:
 
 def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5,
                       rng: np.random.Generator | None = None,
-                      losses: tuple[float, float] | None = None) -> BlendDecision:
+                      losses: tuple[float, float] | None = None,
+                      ws: dict | None = None) -> BlendDecision:
     """Pick a blend direction for (g1, g2) = (contrastive, ELBO) gradients:
     each strategy picks two weights, and the direction is w1 g1 + w2 g2.
 
@@ -103,7 +106,7 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5
     ``linear``, ``random`` and ``pcgrad`` ignore ``losses``.
     """
     g1, g2 = _check_pair(g1, g2)
-    g11, g12, g22 = _gram(g1, g2)
+    g11, g12, g22 = _gram(g1, g2, ws)
     n1, n2 = float(np.sqrt(g11)), float(np.sqrt(g22))
     if name == "mgda":
         c1 = c2 = 0.0
@@ -129,11 +132,12 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5
         if not (0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
         w1, w2 = alpha, 1.0 - alpha
-    direction = w1 * g1 + w2 * g2
+    direction = np.multiply(g1, w1, out=buffer(ws, "moo.direction", g1.shape))
+    direction += np.multiply(g2, w2, out=buffer(ws, "moo.product", g2.shape))
     diagnostics = {
         "g1_norm": n1,
         "g2_norm": n2,
-        "direction_norm": float(np.sqrt(_dot(direction, direction))),
+        "direction_norm": float(np.sqrt(_dot(direction, direction, ws))),
         "g1_dot_g2": g12,
     }
     if name == "mgda" and denom < TIE_EPS:

@@ -25,12 +25,28 @@ DEFAULT_HIDDEN = 100
 THETA_BLOCK_ROWS = 256
 
 
-def _views(flat: Array, shapes) -> list[Array]:
-    """Views of the 1-D vector flat, one per shape, laid out back to back."""
+def _views(flat: Array, shapes, ndim: int = 1) -> list[Array]:
+    """Views of the last axis of flat, one per shape, laid out back to back; flat has
+    ndim axes, and every view keeps the leading ones."""
     offsets = [0, *accumulate(math.prod(shape) for shape in shapes)]
-    if flat.ndim != 1 or flat.size != offsets[-1]:
+    if flat.ndim != ndim or flat.shape[-1] != offsets[-1]:
         raise ValueError(f"flat vector of shape {flat.shape} does not fit layout ({offsets[-1]})")
-    return [flat[a:b].reshape(shape) for shape, a, b in zip(shapes, offsets, offsets[1:])]
+    return [flat[..., a:b].reshape(*flat.shape[:-1], *shape)
+            for shape, a, b in zip(shapes, offsets, offsets[1:])]
+
+
+def _gradient(params, rows: tuple, ws: dict | None, name: str):
+    """A gradient [*rows, params.flat.size] laid out as params.flat, and its views, one
+    per named array of params, each keeping the leading rows. With a workspace ws both
+    are made on the first call only, as diffnet.buffer makes its arrays."""
+    key = (name, (*rows, params.flat.size))
+    if ws is not None and key in ws:
+        return ws[key]
+    grad = np.empty(key[1])
+    made = grad, _views(grad, [a.shape for a in params.arrays()], grad.ndim)
+    if ws is not None:
+        ws[key] = made
+    return made
 
 
 class _Params:
@@ -119,53 +135,87 @@ def docs_to_matrix(docs: Iterable[BowDocument], V: int) -> Array:
 
 @dataclass
 class EncodeCache:
-    Xn: Array       # L1-normalized counts [B,V]
-    a1: Array       # pre-activation of the hidden layer [B,H]
-    h: Array        # softplus(a1)
-    mu: Array       # [B,T]
+    """One encode's intermediates, [..., B, ·]: a leading view axis is kept."""
+    Xn: Array       # L1-normalized counts [..., B, V]
+    h: Array        # softplus of the hidden layer's pre-activation a1 [..., B, H]
+    sig: Array      # sigmoid(a1), the derivative of h
+    mu: Array       # [..., B, T]
     lv_raw: Array   # pre-clamp log-variance
     logvar: Array   # clamped to [-8, 8]
+    inside: Array   # bool, |lv_raw| < 8: where logvar passes its gradient on
+    std: Array      # exp(logvar / 2)
+
+    def __getitem__(self, view: int) -> EncodeCache:
+        """The cache of one view of a stacked encode."""
+        return EncodeCache(*(getattr(self, f.name)[view] for f in fields(self)))
 
 
-def encode_batch(Xc: Array, enc: EncoderParams) -> EncodeCache:
-    sums = Xc.sum(axis=1, keepdims=True)
+def encode_batch(Xc: Array, enc: EncoderParams, ws: dict | None = None) -> EncodeCache:
+    """Encode counts [B, V], or a stack [views, B, V] of them. A stack's products are
+    numpy's batched matmul, one GEMM per view, so each view rounds as its own [B, V]
+    encode does. One [views·B, ·] product would not: its reductions over the rows
+    round differently at 1 and 2 BLAS threads."""
+    sums = Xc.sum(axis=-1, keepdims=True)
     if np.any(sums <= 0):
         raise DataError("encode: batch contains an empty document")
-    Xn = Xc / sums
-    a1 = Xn @ enc.W1 + enc.b1
-    h = diffnet.softplus(a1)
-    mu = h @ enc.W_mu + enc.b_mu
-    lv_raw = h @ enc.W_lv + enc.b_lv
-    logvar = np.clip(lv_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP)
-    return EncodeCache(Xn=Xn, a1=a1, h=h, mu=mu, lv_raw=lv_raw, logvar=logvar)
+
+    def buf(name, width, dtype=np.float64):
+        return diffnet.buffer(ws, "encode." + name, (*Xc.shape[:-1], width), dtype)
+    H, T = enc.b1.size, enc.b_mu.size
+    Xn = np.divide(Xc, sums, out=buf("Xn", Xc.shape[-1]))
+    a1 = np.matmul(Xn, enc.W1, out=buf("a1", H))
+    a1 += enc.b1
+    h, sig = diffnet.softplus_and_sigmoid(a1, ws)
+    mu = np.matmul(h, enc.W_mu, out=buf("mu", T))
+    mu += enc.b_mu
+    lv_raw = np.matmul(h, enc.W_lv, out=buf("lv_raw", T))
+    lv_raw += enc.b_lv
+    logvar = np.clip(lv_raw, -LOGVAR_CLAMP, LOGVAR_CLAMP, out=buf("logvar", T))
+    std = np.abs(lv_raw, out=buf("std", T))  # |lv_raw| until the mask is taken
+    inside = np.less(std, LOGVAR_CLAMP, out=buf("inside", T, bool))
+    np.divide(logvar, 2.0, out=std)
+    np.exp(std, out=std)
+    return EncodeCache(Xn=Xn, h=h, sig=sig, mu=mu, lv_raw=lv_raw, logvar=logvar,
+                       inside=inside, std=std)
 
 
 def encoder_backward(cache: EncodeCache, enc: EncoderParams,
-                     dmu: Array, dlogvar: Array) -> Array:
-    """Backward through the encoder; returns the gradient in the layout of enc.flat."""
-    grad = np.empty(enc.flat.size)
-    dW1, db1, dW_mu, db_mu, dW_lv, db_lv = _views(grad, [a.shape for a in enc.arrays()])
-    mask = (np.abs(cache.lv_raw) < LOGVAR_CLAMP).astype(float)
-    dlv_raw = dlogvar * mask
-    np.matmul(cache.h.T, dmu, out=dW_mu)
-    dmu.sum(axis=0, out=db_mu)
-    np.matmul(cache.h.T, dlv_raw, out=dW_lv)
-    dlv_raw.sum(axis=0, out=db_lv)
-    dh = dmu @ enc.W_mu.T + dlv_raw @ enc.W_lv.T
-    da1 = diffnet.softplus_backward(cache.a1, dh)
-    np.matmul(cache.Xn.T, da1, out=dW1)
-    da1.sum(axis=0, out=db1)
+                     dmu: Array, dlogvar: Array, ws: dict | None = None) -> Array:
+    """Backward through the encoder: the gradient in the layout of enc.flat, or for a
+    stacked cache one such row per view ([views, enc.flat.size]), its products batched
+    as in encode_batch."""
+    grad, (dW1, db1, dW_mu, db_mu, dW_lv, db_lv) = _gradient(
+        enc, dmu.shape[:-2], ws, "encoder_backward.grad")
+    dlv_raw = np.multiply(dlogvar, cache.inside,
+                          out=diffnet.buffer(ws, "encoder_backward.dlv_raw", dmu.shape))
+    hT = np.swapaxes(cache.h, -1, -2)
+    np.matmul(hT, dmu, out=dW_mu)
+    dmu.sum(axis=-2, out=db_mu)
+    np.matmul(hT, dlv_raw, out=dW_lv)
+    dlv_raw.sum(axis=-2, out=db_lv)
+    dh_shape = (*dmu.shape[:-1], enc.b1.size)
+    da1 = np.matmul(dmu, enc.W_mu.T, out=diffnet.buffer(ws, "encoder_backward.da1", dh_shape))
+    da1 += np.matmul(dlv_raw, enc.W_lv.T,
+                     out=diffnet.buffer(ws, "encoder_backward.dh_lv", dh_shape))
+    da1 *= cache.sig
+    np.matmul(np.swapaxes(cache.Xn, -1, -2), da1, out=dW1)
+    da1.sum(axis=-2, out=db1)
     return grad
 
 
-def reparameterize(mu: Array, logvar: Array, eps: Array) -> Array:
+def reparameterize(cache: EncodeCache, eps: Array, ws: dict | None = None) -> Array:
     """z = mu + exp(logvar/2) * eps, with eps held constant for differentiation."""
-    return mu + np.exp(logvar / 2.0) * eps
+    z = np.multiply(cache.std, eps, out=diffnet.buffer(ws, "reparameterize", eps.shape))
+    return np.add(cache.mu, z, out=z)
 
 
-def reparameterize_backward(dz: Array, eps: Array, logvar: Array):
+def reparameterize_backward(dz: Array, eps: Array, cache: EncodeCache,
+                            ws: dict | None = None):
     """Map dL/dz to (dL/dmu, dL/dlogvar); dL/dmu is dz itself, not a copy."""
-    return dz, dz * eps * 0.5 * np.exp(logvar / 2.0)
+    dlogvar = np.multiply(dz, eps, out=diffnet.buffer(ws, "reparameterize_backward", dz.shape))
+    dlogvar *= 0.5
+    dlogvar *= cache.std
+    return dz, dlogvar
 
 
 @dataclass
@@ -178,20 +228,23 @@ class ElboResult:
 
 
 def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
-                    eps: Array, cache: EncodeCache | None = None) -> ElboResult:
+                    eps: Array, cache: EncodeCache | None = None,
+                    ws: dict | None = None) -> ElboResult:
     """Mean over the batch of (reconstruction + KL), with gradients laid out as enc.flat, dec.flat.
 
     eps is the fixed standard-normal draw for the reparameterized sample.
     """
     B = Xc.shape[0]
     if cache is None:
-        cache = encode_batch(Xc, enc)
+        cache = encode_batch(Xc, enc, ws)
     mu, logvar = cache.mu, cache.logvar
-    z = reparameterize(mu, logvar, eps)
-    theta = diffnet.softmax(z)
-    logits = theta @ dec.beta + dec.b_dec
-    lp = diffnet.log_softmax(logits)
-    recon = float(-(Xc * lp).sum() / B)
+    theta = diffnet.softmax(reparameterize(cache, eps, ws))
+    lp = np.matmul(theta, dec.beta, out=diffnet.buffer(ws, "elbo.lp", Xc.shape))
+    lp += dec.b_dec
+    lp -= lp.max(axis=1, keepdims=True)  # the log-softmax of the logits, in place
+    scratch = np.exp(lp, out=diffnet.buffer(ws, "elbo.scratch", Xc.shape))
+    lp -= np.log(scratch.sum(axis=1, keepdims=True))
+    recon = float(-np.multiply(Xc, lp, out=scratch).sum() / B)
     var = np.exp(logvar)
     kl = float(0.5 * np.sum(mu ** 2 + var - logvar - 1.0) / B)
     loss = recon + kl
@@ -199,19 +252,20 @@ def elbo_with_grads(Xc: Array, enc: EncoderParams, dec: DecoderParams,
         raise NumericError("elbo_loss is non-finite")
 
     # reconstruction backward
-    row_tot = Xc.sum(axis=1, keepdims=True)
-    dlogits = (np.exp(lp) * row_tot - Xc) / B
-    g_dec = np.empty(dec.flat.size)
-    dbeta, db_dec = _views(g_dec, [a.shape for a in dec.arrays()])
+    dlogits = np.exp(lp, out=scratch)
+    dlogits *= Xc.sum(axis=1, keepdims=True)
+    dlogits -= Xc
+    dlogits /= B
+    g_dec, (dbeta, db_dec) = _gradient(dec, (), ws, "elbo.g_dec")
     np.matmul(theta.T, dlogits, out=dbeta)
     dlogits.sum(axis=0, out=db_dec)
     dtheta = dlogits @ dec.beta.T
     dz = diffnet.softmax_backward(theta, dtheta)
-    dmu, dlogvar = reparameterize_backward(dz, eps, logvar)
+    dmu, dlogvar = reparameterize_backward(dz, eps, cache, ws)
     # KL backward
     dmu += mu / B
     dlogvar += 0.5 * (var - 1.0) / B
-    g_enc = encoder_backward(cache, enc, dmu, dlogvar)
+    g_enc = encoder_backward(cache, enc, dmu, dlogvar, ws)
     return ElboResult(loss=loss, recon=recon, kl=kl, g_enc=g_enc, g_dec=g_dec)
 
 

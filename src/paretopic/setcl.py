@@ -4,13 +4,15 @@ The loss contrasts pooled representations of K-document sets: the positive
 term pairs a min-pooled anchor with its positive view, negative terms pair
 the max-pooled anchor with every other set's negative view. Pooling records
 the batch rows each pooled entry came from, and the pooled gradients return
-to those rows. The cosine backward is one unit-vector backward per pooled
-array, applied to dL/d(cosine) times the other side's unit vectors.
+to those rows. The cosine backward is one unit-vector backward over the
+four pooled arrays stacked, applied to dL/d(cosine) times the other side's
+unit vectors.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .diffnet import buffer
 from .errors import NumericError
 
 Array = np.ndarray
@@ -51,42 +53,53 @@ def members_matrix(sets) -> Array:
 
 
 def _unit(X: Array) -> tuple[Array, Array]:
-    """Rows of X scaled to unit length, and their lengths."""
-    n = np.linalg.norm(X, axis=1)
+    """Rows of X (along its last axis) scaled to unit length, and their lengths."""
+    n = np.linalg.norm(X, axis=-1)
     if np.any(n == 0.0):
         raise NumericError("setwise InfoNCE: zero-norm pooled vector")
-    return X / n[:, None], n
+    return X / n[..., None], n
 
 
 def _unit_backward(Xh: Array, n: Array, dXh: Array) -> Array:
     """dL/dX for Xh = X / ||X|| (row-wise), given dL/dXh."""
-    return (dXh - (dXh * Xh).sum(axis=1)[:, None] * Xh) / n[:, None]
+    return (dXh - (dXh * Xh).sum(axis=-1)[..., None] * Xh) / n[..., None]
 
 
 def _loss_from_pooled(s_phim: Array, s_phip: Array, s_min: Array, s_plus: Array,
-                      tau: float, include_own_negative: bool, want_grads: bool):
+                      tau: float, include_own_negative: bool, want_grads: bool,
+                      ws: dict | None = None):
     """Loss and, optionally, gradients w.r.t. the pooled vectors, in the
-    order of the arguments."""
+    order of the arguments, as one [4, N, T] array. The four run as one stack
+    through the unit vectors and their backward. One [N, N] buffer holds, in
+    turn, the negative logits, their exponentials and dL/d cos_neg."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    (Um, nu_m), (Up, nu_p), (Vm, nv_m), (Vp, nv_p) = map(_unit, (s_phim, s_phip, s_min, s_plus))
+    U, norms = _unit(np.stack((s_phim, s_phip, s_min, s_plus)))
+    Um, Up, Vm, Vp = U
     f_pos = (Up * Vp).sum(axis=1) / tau                        # [N]
-    F_neg = Um @ Vm.T / tau                                    # [N,N]
+    N = len(f_pos)
+    F = np.matmul(Um, Vm.T, out=buffer(ws, "infonce.negatives", (N, N)))
+    F /= tau
     if not include_own_negative:
-        np.fill_diagonal(F_neg, -np.inf)  # exponentiates to exactly 0 below
-    m = np.maximum(f_pos, F_neg.max(axis=1))
+        np.fill_diagonal(F, -np.inf)  # exponentiates to exactly 0 below
+    m = np.maximum(f_pos, F.max(axis=1))
     e_pos = np.exp(f_pos - m)
-    E_neg = np.exp(F_neg - m[:, None])
-    denom = e_pos + E_neg.sum(axis=1)
+    F -= m[:, None]
+    np.exp(F, out=F)
+    denom = e_pos + F.sum(axis=1)
     loss = float(np.sum(m + np.log(denom) - f_pos))
     if not np.isfinite(loss):
         raise NumericError("setwise InfoNCE loss is non-finite")
     if not want_grads:
         return loss, None
     g = ((e_pos / denom - 1.0) / tau)[:, None]                 # dL/d cos_pos
-    W = E_neg / (denom * tau)[:, None]                         # dL/d cos_neg
-    return loss, (_unit_backward(Um, nu_m, W @ Vm), _unit_backward(Up, nu_p, g * Vp),
-                  _unit_backward(Vm, nv_m, W.T @ Um), _unit_backward(Vp, nv_p, g * Up))
+    F /= (denom * tau)[:, None]                                # dL/d cos_neg
+    dU = np.empty_like(U)  # dL/d of each unit vector
+    np.matmul(F, Vm, out=dU[0])
+    np.multiply(g, Vp, out=dU[1])
+    np.matmul(F.T, Um, out=dU[2])
+    np.multiply(g, Up, out=dU[3])
+    return loss, _unit_backward(U, norms, dU)
 
 
 def _pool_members(A: Array, members: Array, mode: str):
@@ -111,7 +124,7 @@ def infonce_with_grads(Z: Array, Zp: Array, Zm: Array, members: Array, tau: floa
                        pool_positive: str = DEFAULT_POOL_POSITIVE,
                        pool_negative: str = DEFAULT_POOL_NEGATIVE,
                        include_own_negative: bool = False,
-                       want_grads: bool = True):
+                       want_grads: bool = True, ws: dict | None = None):
     """Setwise InfoNCE over a batch, returning (loss, dZ, dZp, dZm).
 
     Z, Zp, Zm are the [B,T] topic vectors of the anchor, positive, and
@@ -122,11 +135,18 @@ def infonce_with_grads(Z: Array, Zp: Array, Zm: Array, members: Array, tau: floa
              _pool_members(Zm[members], members, pool_negative),
              _pool_members(Zp[members], members, pool_positive))
     loss, grads = _loss_from_pooled(*(p[0] for p in pools), tau, include_own_negative,
-                                    want_grads)
+                                    want_grads, ws)
     if not want_grads:
         return loss, None, None, None
-    dZ, dZp, dZm = np.zeros_like(Z), np.zeros_like(Zp), np.zeros_like(Zm)
-    t = np.arange(Z.shape[1])
-    for dZv, (_, rows, div), dS in zip((dZ, dZ, dZm, dZp), pools, grads):
-        np.add.at(dZv, (rows, t), dS[:, None, :] / div)
-    return loss, dZ, dZp, dZm
+    B, T = Z.shape
+    index, weights = [], []  # per pool: flat [B,T] positions and the gradient each receives
+    for (_, rows, div), dS in zip(pools, grads):
+        at = rows * T + np.arange(T)
+        index.append(at.ravel())
+        weights.append(np.divide(dS[:, None, :], div, out=np.empty(at.shape)).ravel())
+
+    def scatter(*which):  # sums in the order given, as sequential adds would
+        return np.bincount(np.concatenate([index[i] for i in which]),
+                           np.concatenate([weights[i] for i in which]),
+                           minlength=B * T).reshape(B, T)
+    return loss, scatter(0, 1), scatter(3), scatter(2)

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import moo, ntm, setcl
+from . import diffnet, moo, ntm, setcl
 from .augment import AugmentedTriple, view_document
 from .corpus import Corpus
 from .errors import ConfigError, DataError, NumericError, read_json
@@ -125,42 +125,47 @@ def prepare_training_data(corpus: Corpus, triples: list[AugmentedTriple]) -> Tra
 
 
 def train_step(batch_rows: Array, state: ModelState, data: TrainData,
-               config: TrainConfig, step: int) -> dict:
-    """One Algorithm-style update; mutates state in place, returns a log record."""
+               config: TrainConfig, step: int, workspace: dict | None = None) -> dict:
+    """One Algorithm-style update; mutates state in place, returns a log record.
+
+    The anchor, positive and negative views run as one [3, B, ·] stack. The step's
+    arrays are buffers of ``workspace`` (see ``diffnet.buffer``): passing one
+    workspace to every step of a fit allocates them on the first step only, and
+    without one every array is fresh.
+    """
     B = len(batch_rows)
     if B < config.set_size:
         raise ConfigError(f"batch of {B} documents is smaller than set size {config.set_size}")
     rng = state.rng
-    # the ELBO reads the anchor counts thrice; encode_batch's division casts the others
-    Xb = data.Xc[batch_rows].astype(np.float64)
-    views = []  # (cache, eps, z) of the anchor, positive and negative views
-    for X in (Xb, data.Xp[batch_rows], data.Xm[batch_rows]):
-        cache = ntm.encode_batch(X, state.enc)
-        eps = rng.standard_normal(cache.mu.shape)
-        views.append((cache, eps, ntm.reparameterize(cache.mu, cache.logvar, eps)))
+    # the batch's counts as float64: each is a small integer, so the cast is exact
+    X = diffnet.buffer(workspace, "counts", (3, B, data.X.shape[-1]))
+    np.copyto(X, data.X[:, batch_rows])
+    cache = ntm.encode_batch(X, state.enc, workspace)
+    eps = rng.standard_normal(out=diffnet.buffer(workspace, "eps", cache.mu.shape))
+    z = ntm.reparameterize(cache, eps, workspace)
 
     members = setcl.build_sets(setcl.build_index_matrix(B, config.shuffle_count, rng),
                                config.set_size)
 
     inf_loss, *dzs = setcl.infonce_with_grads(
-        *(z for _, _, z in views), members, config.temperature,
+        *z, members, config.temperature,
         pool_positive=config.pool_positive, pool_negative=config.pool_negative,
-        include_own_negative=config.include_own_negative)
-    g_inf, g_pos, g_neg = (
-        ntm.encoder_backward(cache, state.enc, *ntm.reparameterize_backward(dz, eps, cache.logvar))
-        for (cache, eps, _), dz in zip(views, dzs))
-    g_inf += g_pos
-    g_inf += g_neg
+        include_own_negative=config.include_own_negative, ws=workspace)
+    dz = np.stack(dzs, out=diffnet.buffer(workspace, "dz", z.shape))
+    dmu, dlogvar = ntm.reparameterize_backward(dz, eps, cache, workspace)
+    g_views = ntm.encoder_backward(cache, state.enc, dmu, dlogvar, workspace)
+    g_inf = g_views.sum(axis=0, out=diffnet.buffer(workspace, "g_infonce", g_views.shape[1:]))
 
-    cache_x, eps_x, _ = views[0]
-    elbo = ntm.elbo_with_grads(Xb, state.enc, state.dec, eps_x, cache=cache_x)
+    elbo = ntm.elbo_with_grads(X[0], state.enc, state.dec, eps[0], cache=cache[0], ws=workspace)
 
     decision = moo.strategy_dispatch(config.moo_strategy, g_inf, elbo.g_enc,
                                      linear_alpha=config.linear_alpha, rng=rng,
-                                     losses=(inf_loss, elbo.loss))
+                                     losses=(inf_loss, elbo.loss), ws=workspace)
 
-    np.subtract(state.enc.flat, config.learning_rate * decision.direction, out=state.enc.flat)
-    np.subtract(state.dec.flat, config.learning_rate * elbo.g_dec, out=state.dec.flat)
+    for params, grad in ((state.enc, decision.direction), (state.dec, elbo.g_dec)):
+        update = np.multiply(grad, config.learning_rate,
+                             out=diffnet.buffer(workspace, "update", grad.shape))
+        np.subtract(params.flat, update, out=params.flat)
 
     return {
         "step": step,
@@ -192,13 +197,14 @@ def fit(corpus: Corpus, triples: list[AugmentedTriple], config: TrainConfig,
         raise ConfigError(
             f"corpus has only {n} trainable documents for batch size {config.batch_size}")
     records: list[dict] = []
+    workspace: dict = {}
     step = start_epoch * (n // config.batch_size)
     for epoch in range(start_epoch, config.epochs):
         order = state.rng.permutation(n)
         for b in range(n // config.batch_size):
             batch = order[b * config.batch_size:(b + 1) * config.batch_size]
             try:
-                records.append(train_step(batch, state, data, config, step))
+                records.append(train_step(batch, state, data, config, step, workspace))
             except NumericError as exc:
                 raise NumericError(f"{exc} (epoch {epoch}, step {step})") from exc
             step += 1

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from paretopic import diffnet, evaluate, ntm, setcl, trainer
+from paretopic import diffnet, evaluate, moo, ntm, setcl, trainer
 from paretopic.corpus import BowDocument, Corpus, Vocabulary, vectorize
 from paretopic.errors import DataError, NumericError
 
@@ -25,6 +25,11 @@ def sigmoid(x: Array) -> Array:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def log_softmax(x: Array) -> Array:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def log_softmax_backward(lp: Array, dy: Array) -> Array:
@@ -200,7 +205,7 @@ def theta_from_z(z: Array) -> Array:
 
 def reconstruction_loss(x: Array, theta_doc: Array, dec) -> float:
     """-sum_v x_v log_softmax(theta beta + b_dec)_v for one document."""
-    lp = diffnet.log_softmax(theta_doc.reshape(1, -1) @ dec.beta + dec.b_dec)
+    lp = log_softmax(theta_doc.reshape(1, -1) @ dec.beta + dec.b_dec)
     return float(-(x * lp.ravel()).sum())
 
 
@@ -395,3 +400,48 @@ def prepare_training_data(corpus: Corpus, triples) -> trainer.TrainData:
                 docs.append(BowDocument(counts=counts))
     X = docs_to_matrix(docs, vocab.size)
     return trainer.TrainData(doc_ids=doc_ids, X=X.reshape(3, len(doc_ids), vocab.size))
+
+
+def train_step_per_view(batch_rows: Array, state, data, config, step: int) -> dict:
+    """``trainer.train_step`` one view at a time: three encodes and four
+    encoder backwards on fresh arrays, the reparameterisation written out."""
+    B = len(batch_rows)
+    rng = state.rng
+    Xb = data.Xc[batch_rows].astype(np.float64)
+    views = []  # (cache, eps, z) of the anchor, positive and negative views
+    for X in (Xb, data.Xp[batch_rows], data.Xm[batch_rows]):
+        cache = ntm.encode_batch(X, state.enc)
+        eps = rng.standard_normal(cache.mu.shape)
+        views.append((cache, eps, cache.mu + np.exp(cache.logvar / 2.0) * eps))
+
+    members = setcl.build_sets(setcl.build_index_matrix(B, config.shuffle_count, rng),
+                               config.set_size)
+    inf_loss, *dzs = setcl.infonce_with_grads(
+        *(z for _, _, z in views), members, config.temperature,
+        pool_positive=config.pool_positive, pool_negative=config.pool_negative,
+        include_own_negative=config.include_own_negative)
+    g_inf, g_pos, g_neg = (
+        ntm.encoder_backward(cache, state.enc, dz,
+                             dz * eps * 0.5 * np.exp(cache.logvar / 2.0))
+        for (cache, eps, _), dz in zip(views, dzs))
+    g_inf += g_pos
+    g_inf += g_neg
+
+    cache_x, eps_x, _ = views[0]
+    elbo = ntm.elbo_with_grads(Xb, state.enc, state.dec, eps_x, cache=cache_x)
+    decision = moo.strategy_dispatch(config.moo_strategy, g_inf, elbo.g_enc,
+                                     linear_alpha=config.linear_alpha, rng=rng,
+                                     losses=(inf_loss, elbo.loss))
+    np.subtract(state.enc.flat, config.learning_rate * decision.direction, out=state.enc.flat)
+    np.subtract(state.dec.flat, config.learning_rate * elbo.g_dec, out=state.dec.flat)
+    return {
+        "step": step,
+        "elbo": elbo.loss,
+        "recon": elbo.recon,
+        "kl": elbo.kl,
+        "infonce": inf_loss,
+        "alpha": decision.alpha,
+        "g_infonce_norm": decision.diagnostics["g1_norm"],
+        "g_elbo_norm": decision.diagnostics["g2_norm"],
+        "direction_norm": decision.diagnostics["direction_norm"],
+    }

@@ -74,7 +74,7 @@ def test_criterion_1_gradient_fidelity():
         zs = []
         for X, eps in ((Xc, eps_x), (Xp, eps_p), (Xm, eps_m)):
             cache = ntm.encode_batch(X, enc)
-            zs.append(ntm.reparameterize(cache.mu, cache.logvar, eps))
+            zs.append(ntm.reparameterize(cache, eps))
         loss, dZ, dZp, dZm = setcl.infonce_with_grads(*zs, members, tau)
         g_enc = (view_grad(Xc, enc, eps_x, dZ) + view_grad(Xp, enc, eps_p, dZp)
                  + view_grad(Xm, enc, eps_m, dZm))

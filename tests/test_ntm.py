@@ -155,6 +155,47 @@ class TestEncode:
             ntm.encode_batch(np.zeros((2, 4)), enc)
 
 
+class TestViewAxis:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_stack_matches_one_encode_per_view(self, threads):
+        # in a subprocess, because the BLAS thread count is fixed at import
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", STACKED_VIEWS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["200", "True", "2000", "True"]
+
+
+# encode_batch and encoder_backward on a [3, B, V] stack against three [B, V]
+# calls, at the planted (V=200, T=5) and wide (V=2,000, T=50) sizes, B=200;
+# prints V and whether every array is equal bit for bit.
+STACKED_VIEWS = """
+import dataclasses
+import numpy as np
+from paretopic import ntm
+
+for V, T in ((200, 5), (2000, 50)):
+    rng = np.random.default_rng(V)
+    enc, _ = ntm.init_params(V, 100, T, rng)
+    X = rng.integers(0, 3, size=(3, 200, V), dtype=np.uint8)
+    X[..., 0] += 1
+    dmu, dlogvar = rng.standard_normal((2, 3, 200, T))
+    ws = {}
+    stacked = ntm.encode_batch(X, enc, ws)
+    grads = ntm.encoder_backward(stacked, enc, dmu, dlogvar, ws)
+    same = grads.shape == (3, enc.flat.size)
+    for v in range(3):
+        cache = ntm.encode_batch(X[v], enc)
+        same &= all(np.array_equal(getattr(cache, f.name), getattr(stacked, f.name)[v])
+                    for f in dataclasses.fields(cache))
+        same &= np.array_equal(ntm.encoder_backward(cache, enc, dmu[v], dlogvar[v]), grads[v])
+    print(V, same)
+"""
+
+
 class TestElbo:
     def test_kl_zero_at_prior(self):
         assert oracles.kl_loss(np.zeros(5), np.zeros(5)) == 0.0
@@ -185,7 +226,7 @@ class TestElbo:
         eps = rng.standard_normal((4, 3))
         res = ntm.elbo_with_grads(X, enc, dec, eps)
         cache = ntm.encode_batch(X, enc)
-        z = ntm.reparameterize(cache.mu, cache.logvar, eps)
+        z = ntm.reparameterize(cache, eps)
         theta = oracles.theta_from_z(z)
         total = sum(oracles.reconstruction_loss(X[i], theta[i], dec)
                     + oracles.kl_loss(cache.mu[i], cache.logvar[i])

@@ -5,6 +5,8 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 import oracles
 from conftest import planted_corpus
-from paretopic import augment, ntm, trainer
+from paretopic import augment, moo, ntm, trainer
 from paretopic.augment import AugmentedTriple, bow_to_text
 from paretopic.corpus import BowDocument, build_vocabulary, make_corpus
 from paretopic.errors import ConfigError, DataError
@@ -208,6 +210,59 @@ class TestTrainStep:
             trainer.train_step(np.arange(6), state, data, cfg, step=0)
             decs.append(ntm.pack_decoder(state.dec))
         np.testing.assert_array_equal(decs[0], decs[1])
+
+
+# every blend strategy, the pooling modes the default leaves out, and the own negative
+STEP_SETTINGS = [dict(moo_strategy=name) for name in moo.STRATEGIES] + [
+    dict(pool_positive="mean", pool_negative="mean"),
+    dict(pool_positive="sum", pool_negative="sum"),
+    dict(include_own_negative=True)]
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize("size", ["tiny", "planted"])
+    @pytest.mark.parametrize("settings", STEP_SETTINGS,
+                             ids=lambda d: "-".join(map(str, d.values())))
+    def test_matches_per_view_oracle(self, tiny_texts, size, settings):
+        """Three steps with one workspace land on the bytes and records of three
+        per-view oracle steps from the same state; planted is B=50, V=200, T=5."""
+        if size == "tiny":
+            corpus, triples, cfg = tiny_setup(tiny_texts, **settings)
+            batches = [[0, 2, 4, 1, 3, 5], [5, 4, 3, 2, 1, 0], [1, 2, 3, 4, 5, 0]]
+        else:
+            corpus = planted_corpus(4, 150, doc_len=600)
+            triples = augment.build_augmentation_cache(corpus, method="tfidf", rng_seed=4)
+            cfg = TrainConfig(seed=4, num_topics=5, batch_size=50, **settings)
+            batches = np.random.default_rng(4).permutation(150).reshape(3, 50)
+        data = trainer.prepare_training_data(corpus, triples)
+        runs = []
+        for step_fn in (partial(trainer.train_step, workspace={}), oracles.train_step_per_view):
+            state = trainer.init_state(corpus.vocabulary.size, cfg,
+                                       corpus.vocabulary.content_hash())
+            records = [step_fn(np.array(rows), state, data, cfg, step)
+                       for step, rows in enumerate(batches)]
+            runs.append((state.enc.flat.tobytes(), state.dec.flat.tobytes(), records))
+        assert runs[0] == runs[1]
+
+    def test_workspace_step_allocates_a_quarter_of_the_per_view_step(self):
+        """At the gate's size (B=200, V=200, H=100, T=5), after a warm-up step, the
+        peak of what one step allocates (tracemalloc sees numpy's buffers)."""
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 4, size=(3, 200, 200), dtype=np.uint8)
+        X[..., 0] += 1  # no empty document
+        data = trainer.TrainData(doc_ids=list(range(200)), X=X)
+        cfg = TrainConfig(seed=0, num_topics=5, batch_size=200)
+        peaks = []
+        for step_fn in (partial(trainer.train_step, workspace={}), oracles.train_step_per_view):
+            state = trainer.init_state(200, cfg, "hash")
+            step_fn(np.arange(200), state, data, cfg, 0)
+            tracemalloc.start()
+            try:
+                step_fn(np.arange(200), state, data, cfg, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 4 * peaks[0] <= peaks[1], peaks
 
 
 class TestFit:
