@@ -18,7 +18,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .corpus import BowDocument, Corpus, Vocabulary, vectorize
-from .errors import DataError, read_lines
+from .errors import DataError, output_file, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -211,7 +211,7 @@ def bow_to_text(doc: BowDocument, vocab) -> str:
 
 
 def cache_augmentations(triples: list[AugmentedTriple], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         for triple in triples:
             fh.write(json.dumps(asdict(triple)) + "\n")
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import augment as augment_mod
 from . import corpus as corpus_mod
 from . import diffnet, evaluate, moo, ntm, setcl, trainer
-from .errors import ConfigError, DataError, NumericError, read_lines
+from .errors import ConfigError, DataError, NumericError, output_file, read_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -197,7 +197,7 @@ def cmd_eval(args) -> int:
     td = evaluate.topic_diversity(topics)
     metrics = {"npmi": mean_npmi, "npmi_per_topic": per_topic, "td": td,
                "num_topics": len(topics)}
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with output_file(args.output) as fh:
         json.dump(metrics, fh, sort_keys=True)
     print(f"npmi={mean_npmi:.4f} td={td:.4f} -> {args.output}")
     return EXIT_OK
@@ -213,7 +213,7 @@ def cmd_align(args) -> int:
     report = [{"topic_a": i, "topic_b": j, "js": js} for i, j, js in matching]
     print(json.dumps(report, indent=2))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with output_file(args.output) as fh:
             json.dump(report, fh, sort_keys=True)
     return EXIT_OK
 
@@ -317,13 +317,14 @@ def build_parser() -> _Parser:
 
     def command(name, func, help, needs=(), writes=(), may_write=()):
         """A subcommand with required flags needs and writes and optional flags may_write;
-        main checks the directory of each output (writes, may_write) before func runs."""
+        before func runs, main checks each output (writes, may_write): its directory, and
+        that it names no input (needs) and no other output."""
         p = sub.add_parser(name, help=help)
         for flag in needs + writes:
             p.add_argument(f"--{flag}", required=True)
         for flag in may_write:
             p.add_argument(f"--{flag}")
-        p.set_defaults(func=func, outputs=tuple(f.replace("-", "_") for f in writes + may_write))
+        p.set_defaults(func=func, inputs=needs, outputs=writes + may_write)
         return p
 
     p = command("build-vocab", cmd_build_vocab, "build a df-filtered vocabulary from JSONL",
@@ -368,8 +369,10 @@ def build_parser() -> _Parser:
                 needs=("input", "vocab", "checkpoint"), writes=("output",))
     p.add_argument("--seed", type=_SEED, default=0)
 
-    command("probe", cmd_probe, "cosine similarity of two texts' topic vectors",
-            needs=("checkpoint", "vocab", "text-a", "text-b"))
+    p = command("probe", cmd_probe, "cosine similarity of two texts' topic vectors",
+                needs=("checkpoint", "vocab"))
+    p.add_argument("--text-a", required=True)
+    p.add_argument("--text-b", required=True)
     command("selftest", cmd_selftest, "gradient checks and solver oracle suite")
     return parser
 
@@ -378,14 +381,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        outputs = (getattr(args, flag) for flag in args.outputs)
-        for path in (p for p in outputs if p is not None):  # fail before any read, not after
+        path_of = {f: getattr(args, f.replace("-", "_")) for f in args.inputs + args.outputs}
+        flag_of = {os.path.realpath(path_of[flag]): flag for flag in args.inputs}
+        for flag in (f for f in args.outputs if path_of[f] is not None):  # before any read
+            path = path_of[flag]
             if not path:
                 raise DataError("cannot write '': the path is empty")
             if os.path.isdir(path):
                 raise DataError(f"cannot write {path}: it is a directory")
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise DataError(f"cannot write {path}: its directory does not exist")
+            real = os.path.realpath(path)
+            if real in flag_of:
+                raise DataError(f"cannot write {path}: --{flag} names the same file as "
+                                f"--{flag_of[real]}")
+            flag_of[real] = flag
         return args.func(args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

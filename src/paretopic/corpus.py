@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DataError, read_json, read_lines
+from .errors import DataError, output_file, read_json, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with output_file(path) as fh:
             json.dump({"words": self.words, "df": self.df}, fh)
 
     @classmethod

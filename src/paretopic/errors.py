@@ -1,5 +1,8 @@
-"""Shared exception types, mapped onto CLI exit codes, and the readers of input files."""
+"""Shared exception types, mapped onto CLI exit codes; the readers of input files and
+the one writer of output files."""
 import json
+import os
+from contextlib import contextmanager
 
 
 class ParetopicError(Exception):
@@ -35,3 +38,25 @@ def read_json(path: str, what: str):
             return json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+@contextmanager
+def output_file(path: str):
+    """A UTF-8 text handle whose contents replace the file at path when the block ends.
+
+    The handle writes to <name>.<pid>.tmp beside the target, renamed over it when the
+    block exits cleanly and removed when anything raises, KeyboardInterrupt included:
+    an interrupted process leaves the previous file, not a cut-short one. A symlinked
+    path is written through to the file it names and stays a link. Lines end as the
+    caller writes them (newline=""), so csv rows keep their CRLF. There is no fsync:
+    this guards against an interrupted process, not a machine crash.
+    """
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

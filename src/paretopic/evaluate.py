@@ -11,7 +11,7 @@ import numpy as np
 
 from . import diffnet, ntm
 from .corpus import Corpus, Vocabulary, vectorize
-from .errors import DataError, read_lines
+from .errors import DataError, output_file, read_lines
 
 Array = np.ndarray
 
@@ -211,7 +211,7 @@ def classification_features(corpus: Corpus, enc: ntm.EncoderParams,
     labels = [corpus.documents[i].label for i in keep]
     if csv_path is not None:
         T = theta.shape[1]
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        with output_file(csv_path) as fh:
             writer = csv.writer(fh)
             writer.writerow([f"theta_{t}" for t in range(T)] + ["label"])
             for row, label in zip(theta, labels):
@@ -237,7 +237,7 @@ def similarity_probe(text_a: str, text_b: str, enc: ntm.EncoderParams,
 
 
 def save_topics(topics: list[list[int]], vocab: Vocabulary, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         for words in topics:
             fh.write(" ".join(vocab.words[w] for w in words) + "\n")
 

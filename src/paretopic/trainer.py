@@ -16,7 +16,7 @@ import numpy as np
 from . import diffnet, moo, ntm, setcl
 from .augment import AugmentedTriple, view_document
 from .corpus import Corpus
-from .errors import ConfigError, DataError, NumericError, read_json
+from .errors import ConfigError, DataError, NumericError, output_file, read_json
 
 Array = np.ndarray
 
@@ -214,7 +214,7 @@ def fit(corpus: Corpus, triples: list[AugmentedTriple], config: TrainConfig,
 
 
 def write_train_log(records: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
 
@@ -248,16 +248,8 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         "decoder": _params_to_json(state.dec),
         "rng_state": state.rng.bit_generator.state,
     }
-    # Written beside the target and renamed over it, so an interrupted write
-    # leaves the previous checkpoint, not a truncated one.
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True))  # the C encoder; json.dump is pure Python
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with output_file(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True))  # the C encoder; json.dump is pure Python
 
 
 def load_checkpoint(path: str, expect_vocab_hash: str | None = None) -> ModelState:

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import dataclasses
 import json
 import math
@@ -12,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from paretopic import augment, cli, evaluate, trainer
+from paretopic import augment, cli, errors, evaluate, trainer
 from paretopic.corpus import Vocabulary, load_corpus, make_corpus
 from paretopic.errors import ConfigError
 
@@ -664,6 +665,83 @@ class TestCommandOutputs:
                 assert all(type(c) is int and c > 0 for c in view.values())
             assert r["positive_text"].keys() <= docs[r["anchor_id"]]
             assert not r["negative_text"].keys() & docs[r["anchor_id"]]
+
+
+    @pytest.mark.parametrize("output", ["vocabulary", "cache", "checkpoint", "train-log",
+                                        "topics", "eval", "align", "features"])
+    def test_interrupted_write_keeps_previous_file(self, workdir, monkeypatch, output):
+        """Each output's first chunk lands, then the process is interrupted (the
+        checkpoint is one write): the previous file stays and no temporary file is left."""
+        argv = reader_argv(workdir)
+        train = argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]
+        assert cli.main(train) == 0
+        corpus, vocab, ckpt = (str(workdir / n) for n in ("corpus.jsonl", "vocab.json", "ck.json"))
+        topics, out = str(workdir / "topics.txt"), workdir / "out"
+        assert cli.main(["topics", "--checkpoint", ckpt, "--vocab", vocab, "--output", topics]) == 0
+        command = {
+            "vocabulary": ["build-vocab", "--input", corpus, "--min-df", "1", "--output"],
+            "cache": ["augment", "--input", corpus, "--vocab", vocab, "--output"],
+            "checkpoint": train + ["--checkpoint"],  # the last flag wins
+            "train-log": train + ["--log"],
+            "topics": ["topics", "--checkpoint", ckpt, "--vocab", vocab, "--output"],
+            "eval": ["eval", "--topics", topics, "--vocab", vocab, "--reference", corpus,
+                     "--output"],
+            "align": ["align", "--checkpoint-a", ckpt, "--checkpoint-b", ckpt, "--vocab", vocab,
+                      "--output"],
+            "features": ["classify", "--input", corpus, "--vocab", vocab, "--checkpoint", ckpt,
+                         "--output"],
+        }[output] + [str(out)]
+
+        class FirstWriteThenInterrupt:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text)
+                raise KeyboardInterrupt
+
+        def open_then_interrupt(file, mode="r", **kwargs):
+            fh = builtins.open(file, mode, **kwargs)
+            return FirstWriteThenInterrupt(fh) if "w" in mode else fh
+
+        out.write_bytes(b"previous\n")
+        names = sorted(os.listdir(workdir))
+        monkeypatch.setattr(errors, "open", open_then_interrupt, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(command)
+        assert out.read_bytes() == b"previous\n"
+        assert sorted(os.listdir(workdir)) == names
+
+    @pytest.mark.parametrize("case", ["train-log-over-checkpoint", "augment-over-input",
+                                      "augment-over-input-through-link"])
+    def test_output_naming_another_file_of_the_command_is_data_error(self, workdir, capsys,
+                                                                      case):
+        argv = reader_argv(workdir)
+        assert cli.main(argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]) == 0
+        corpus, vocab, ckpt = (str(workdir / n) for n in ("corpus.jsonl", "vocab.json", "ck.json"))
+        link = workdir / "link.jsonl"
+        link.symlink_to("corpus.jsonl")
+        augment_over = ["augment", "--input", corpus, "--vocab", vocab, "--output"]
+        command, refusal = {
+            "train-log-over-checkpoint": (argv["train"] + TINY_TRAIN + ["--log", ckpt],
+                                          f"{ckpt}: --log names the same file as --checkpoint"),
+            "augment-over-input": (augment_over + [corpus],
+                                   f"{corpus}: --output names the same file as --input"),
+            "augment-over-input-through-link": (
+                augment_over + [str(link)], f"{link}: --output names the same file as --input"),
+        }[case]
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        capsys.readouterr()
+        assert cli.main(command) == cli.EXIT_DATA
+        assert capsys.readouterr() == ("", f"data error: cannot write {refusal}\n")
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+        assert link.is_symlink()
 
 
 class TestSelftest:

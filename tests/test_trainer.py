@@ -316,35 +316,6 @@ class TestCheckpoints:
         trainer.save_checkpoint(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_interrupted_save_keeps_previous_checkpoint(self, tiny_texts, tmp_path,
-                                                       monkeypatch):
-        corpus, triples, cfg = tiny_setup(tiny_texts, epochs=1)
-        state, _ = trainer.fit(corpus, triples, cfg)
-        path = tmp_path / "model.json"
-        trainer.save_checkpoint(state, str(path))
-        before = path.read_bytes()
-
-        class WriteThenFail:  # the checkpoint file, cut off 100 characters in
-            def __init__(self, *args, **kwargs):
-                self.fh = open(*args, **kwargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.fh.close()
-
-            def write(self, text):
-                self.fh.write(text[:100])
-                raise KeyboardInterrupt
-
-        monkeypatch.setattr(trainer, "open", WriteThenFail, raising=False)
-        with pytest.raises(KeyboardInterrupt):
-            trainer.save_checkpoint(trainer.init_state(state.V, cfg, state.vocab_hash),
-                                    str(path))
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["model.json"]
-
     def test_resume_matches_uninterrupted_run(self, tiny_texts, tmp_path):
         corpus, triples, cfg = tiny_setup(tiny_texts, epochs=4)
         full_state, _ = trainer.fit(corpus, triples, cfg)
