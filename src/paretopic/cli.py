@@ -389,6 +389,8 @@ def main(argv=None) -> int:
                 raise DataError("cannot write '': the path is empty")
             if os.path.isdir(path):
                 raise DataError(f"cannot write {path}: it is a directory")
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise DataError(f"cannot write {path}: it is not a regular file")
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise DataError(f"cannot write {path}: its directory does not exist")
             real = os.path.realpath(path)

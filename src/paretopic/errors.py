@@ -49,12 +49,20 @@ def output_file(path: str):
     an interrupted process leaves the previous file, not a cut-short one. A symlinked
     path is written through to the file it names and stays a link. Lines end as the
     caller writes them (newline=""), so csv rows keep their CRLF. There is no fsync:
-    this guards against an interrupted process, not a machine crash.
+    this guards against an interrupted process, not a machine crash. A target that
+    exists but is not a regular file (a device, a FIFO) is refused, so it is never
+    renamed over.
     """
     target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise DataError(f"cannot write {path}: it is not a regular file")
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with fh:
             yield fh
         os.replace(tmp, target)
     finally:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -322,7 +323,7 @@ class TestExitCodes:
             ("train-checkpoint", "train", "--checkpoint"), ("train-log", "train", "--log"),
             ("topics", "topics", "--output"), ("eval", "eval", "--output"),
             ("align", "align", "--output"), ("classify", "classify", "--output")]
-        for output in ("missing", "directory", "empty")])
+        for output in ("missing", "directory", "empty", "fifo")])
     def test_output_in_missing_directory_is_data_error(self, workdir, capsys, command, flag,
                                                        output):
         # every input is missing too, so only a check made before any read names the output;
@@ -343,13 +344,16 @@ class TestExitCodes:
         }[command]
         if command == "augment-llm":
             reader_argv(workdir)  # writes vocab.json
-        missing, adir = str(workdir / "missing" / "out"), workdir / "adir"
+        missing, adir, fifo = str(workdir / "missing" / "out"), workdir / "adir", workdir / "fifo"
         adir.mkdir()
+        os.mkfifo(fifo)  # stands for any path that exists and is no regular file, /dev/null too
         path, refusal = {
             "missing": (missing, f"{missing}: its directory does not exist"),
             "directory": (str(adir), f"{adir}: it is a directory"),
             "empty": ("", "'': the path is empty"),
+            "fifo": (str(fifo), f"{fifo}: it is not a regular file"),
         }[output]
+        names = sorted(os.listdir(workdir))
         capsys.readouterr()
         with mock.patch.object(augment, "llm_augment", return_value="apple fruit") as llm:
             assert cli.main(base + [flag, path]) == cli.EXIT_DATA  # the last flag wins
@@ -357,6 +361,8 @@ class TestExitCodes:
         assert out == ""
         assert err == f"data error: cannot write {refusal}\n"
         assert llm.call_count == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(os.listdir(workdir)) == names
 
     def test_top_n_above_vocabulary_size_is_usage_error(self, workdir, capsys):
         argv = reader_argv(workdir)["topics"]  # its checkpoint is missing: refused before that read
@@ -706,11 +712,12 @@ class TestCommandOutputs:
                 self.fh.write(text)
                 raise KeyboardInterrupt
 
-        def open_then_interrupt(file, mode="r", **kwargs):
+        def open_then_interrupt(file, mode="r", **kwargs):  # only out's handle: the others land
             fh = builtins.open(file, mode, **kwargs)
-            return FirstWriteThenInterrupt(fh) if "w" in mode else fh
+            return FirstWriteThenInterrupt(fh) if str(file).startswith(real_out) else fh
 
         out.write_bytes(b"previous\n")
+        real_out = os.path.realpath(out)
         names = sorted(os.listdir(workdir))
         monkeypatch.setattr(errors, "open", open_then_interrupt, raising=False)
         with pytest.raises(KeyboardInterrupt):

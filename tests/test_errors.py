@@ -1,10 +1,12 @@
 import ast
 import os
+import re
+import stat
 from pathlib import Path
 
 import pytest
 
-from paretopic.errors import output_file
+from paretopic.errors import DataError, output_file
 
 
 class TestOutputFile:
@@ -38,6 +40,23 @@ class TestOutputFile:
         assert target.read_bytes() == b"new\n"
         assert sorted(os.listdir(tmp_path)) == ["data", "link.txt"]
         assert os.listdir(tmp_path / "data") == ["out.txt"]
+
+    def test_target_that_is_no_regular_file_is_refused(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)  # as a device such as /dev/null: renaming over it would replace it
+        refusal = f"cannot write {fifo}: it is not a regular file"
+        with pytest.raises(DataError, match=f"^{re.escape(refusal)}$"):
+            with output_file(str(fifo)) as fh:
+                fh.write("new\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
+
+    def test_unwritable_temporary_file_names_the_given_path(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        refusal = f"cannot write {path}: No such file or directory"
+        with pytest.raises(DataError, match=f"^{re.escape(refusal)}$"):
+            with output_file(str(path)):
+                pass
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
