@@ -98,7 +98,7 @@ def parse_config_file(path: str) -> dict:
 
 def resolve_train_config(args) -> trainer.TrainConfig:
     overrides = {}
-    if args.config:
+    if args.config is not None:  # an empty path is a data error, as for every input
         overrides.update(parse_config_file(args.config))
     for item in args.set or []:
         _apply_config_item(overrides, item, "--set")
@@ -315,16 +315,17 @@ def build_parser() -> _Parser:
                                  "Pareto-balanced two-objective training.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, needs=(), writes=(), may_write=()):
-        """A subcommand with required flags needs and writes and optional flags may_write;
-        before func runs, main checks each output (writes, may_write): its directory, and
-        that it names no input (needs) and no other output."""
+    def command(name, func, help, needs=(), may_read=(), writes=(), may_write=()):
+        """A subcommand with required flags needs and writes and optional flags may_read
+        and may_write; before func runs, main checks each output given (writes, may_write):
+        its directory, and that it names no input given (needs, may_read) and no other
+        output."""
         p = sub.add_parser(name, help=help)
         for flag in needs + writes:
             p.add_argument(f"--{flag}", required=True)
-        for flag in may_write:
+        for flag in may_read + may_write:
             p.add_argument(f"--{flag}")
-        p.set_defaults(func=func, inputs=needs, outputs=writes + may_write)
+        p.set_defaults(func=func, inputs=needs + may_read, outputs=writes + may_write)
         return p
 
     p = command("build-vocab", cmd_build_vocab, "build a df-filtered vocabulary from JSONL",
@@ -346,9 +347,10 @@ def build_parser() -> _Parser:
 
     p = command("train", cmd_train, "train the topic model (defaults: K=4 S=8 "
                                     "tau=0.2 lr=0.002 B=200)",
-                needs=("input", "vocab", "cache"), writes=("checkpoint",), may_write=("log",))
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, help="mandatory unless train.seed is in the config")
+                needs=("input", "vocab", "cache"), may_read=("config",), writes=("checkpoint",),
+                may_write=("log",))
+    p.add_argument("--seed", type=int,
+                   help="mandatory unless train.seed is in the --config file (flat key=value)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable); flags win over the file")
 
@@ -382,7 +384,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         path_of = {f: getattr(args, f.replace("-", "_")) for f in args.inputs + args.outputs}
-        flag_of = {os.path.realpath(path_of[flag]): flag for flag in args.inputs}
+        flag_of = {os.path.realpath(path_of[flag]): flag for flag in args.inputs
+                   if path_of[flag] is not None}
         for flag in (f for f in args.outputs if path_of[f] is not None):  # before any read
             path = path_of[flag]
             if not path:

@@ -1,4 +1,14 @@
-"""Corpus ingestion: tokenization, vocabulary building, bag-of-words vectors."""
+"""Corpus ingestion: tokenization, vocabulary building, bag-of-words vectors.
+
+A token is a lowercased run of [0-9a-z] of at least two characters that is
+not all digits. No token spans whitespace, so the one tokeniser splits the
+lowercased text on whitespace and handles each distinct chunk once
+(``_chunk_tokens``): a chunk that is one ASCII alphanumeric run is a token
+candidate as it stands, and only the others go through the regex. A word
+that no text can yield is never counted, even when a loaded vocabulary holds
+it: "a" (one character), "12" (all digits), and any word with an uppercase
+letter, punctuation or a non-ASCII character ("Ab", "a-b").
+"""
 from __future__ import annotations
 
 import hashlib
@@ -20,19 +30,16 @@ DEFAULT_MAX_SIZE = 2000
 MAX_MALFORMED_FRAC = 0.01  # load_corpus fails above this share of bad lines
 
 
-def _token_counts(text: str) -> dict[str, int]:
-    """Counts of the tokens of text, in order of first occurrence: the lowercased
-    runs of [0-9a-z], without one-character and all-digit tokens.
+def _chunk_tokens(chunk: str) -> list[str]:
+    """The [0-9a-z] runs of one lowercased whitespace chunk, before the length
+    and digit filter; a chunk that is one ASCII alphanumeric run is its own run."""
+    return [chunk] if chunk.isascii() and chunk.isalnum() else _TOKEN_RE.findall(chunk)
 
-    No token spans whitespace, so the text is split on whitespace first and each
-    distinct chunk is tokenised once; a chunk that is one ASCII alphanumeric run
-    is one whole token, and only the others go through the regex.
-    """
-    counts: dict[str, int] = {}
-    for chunk, n in Counter(text.lower().split()).items():
-        for t in (chunk,) if chunk.isascii() and chunk.isalnum() else _TOKEN_RE.findall(chunk):
-            counts[t] = counts.get(t, 0) + n
-    return {t: c for t, c in counts.items() if len(t) >= 2 and not t.isdigit()}
+
+def _is_token(word: str) -> bool:
+    """Whether the tokeniser can produce word: [0-9a-z]+, two or more
+    characters, not all digits."""
+    return len(word) >= 2 and not word.isdigit() and _TOKEN_RE.fullmatch(word) is not None
 
 
 @dataclass
@@ -40,11 +47,15 @@ class Vocabulary:
     words: list[str]
     df: list[int]
     index: dict[str, int] = field(init=False)
+    # index without the words no text can yield ("a", "12", "Ab", "a-b"), so a
+    # whitespace chunk found here is one whole in-vocabulary token
+    token_ids: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {w: i for i, w in enumerate(self.words)}
         if len(self.index) != len(self.words):
             raise DataError("vocabulary contains duplicate tokens")
+        self.token_ids = {w: i for w, i in self.index.items() if _is_token(w)}
 
     @property
     def size(self) -> int:
@@ -101,9 +112,14 @@ def build_vocabulary(texts: list[str], min_df: int = DEFAULT_MIN_DF,
                      max_size: int = DEFAULT_MAX_SIZE) -> Vocabulary:
     """Document-frequency filtered vocabulary.
 
-    Keeps tokens with min_df <= df <= max_df_frac * len(texts), truncated to
-    the max_size highest-df tokens. Order is df descending with lexicographic
-    tiebreak, so the result is independent of input order.
+    A token's df is the number of texts it occurs in. Each text is reduced to
+    its set of distinct whitespace chunks, and only a chunk that is not one
+    ASCII alphanumeric run is split further; the length and digit filter runs
+    once, on the corpus-wide df table, so no word comes out that vectorize
+    cannot count ("a", "12", "Ab", "a-b"). Keeps tokens with
+    min_df <= df <= max_df_frac * len(texts), truncated to the max_size
+    highest-df tokens. Order is df descending with lexicographic tiebreak, so
+    the result is independent of input order.
     """
     if not texts:
         raise DataError("build_vocabulary: empty text list")
@@ -111,9 +127,9 @@ def build_vocabulary(texts: list[str], min_df: int = DEFAULT_MIN_DF,
         raise DataError(f"max_df_frac must be in (0, 1], got {max_df_frac}")
     df: Counter[str] = Counter()
     for text in texts:
-        df.update(_token_counts(text).keys())
+        df.update({t for chunk in set(text.lower().split()) for t in _chunk_tokens(chunk)})
     ceiling = max_df_frac * len(texts)
-    kept = [(w, c) for w, c in df.items() if min_df <= c <= ceiling]
+    kept = [(w, c) for w, c in df.items() if min_df <= c <= ceiling and _is_token(w)]
     if not kept:
         raise DataError(
             f"vocabulary empty after filtering: min_df={min_df}, "
@@ -126,10 +142,26 @@ def build_vocabulary(texts: list[str], min_df: int = DEFAULT_MIN_DF,
 def vectorize(text: str, vocab: Vocabulary, label: object = None) -> BowDocument:
     """Count in-vocabulary tokens; OOV tokens are dropped silently.
 
-    A document with zero in-vocabulary tokens comes back with empty counts
+    Each distinct whitespace chunk of the lowercased text is looked up once in
+    vocab.token_ids; only a chunk not found there is split into its [0-9a-z]
+    runs, each looked up in turn. counts is keyed by vocabulary id in order of
+    first occurrence. A vocabulary word the tokeniser never produces is never
+    counted: "a" (one character), "12" (all digits), and any word with an
+    uppercase letter, punctuation or a non-ASCII character ("Ab", "a-b"). A
+    document with zero in-vocabulary tokens comes back with empty counts
     (is_empty); the trainer skips those.
     """
-    counts = {vocab.index[t]: c for t, c in _token_counts(text).items() if t in vocab.index}
+    ids = vocab.token_ids
+    counts: dict[int, int] = {}
+    for chunk, n in Counter(text.lower().split()).items():
+        i = ids.get(chunk)
+        if i is not None:  # the common case: the chunk is one in-vocabulary token
+            counts[i] = counts.get(i, 0) + n
+            continue
+        for t in _chunk_tokens(chunk):
+            i = ids.get(t)
+            if i is not None:
+                counts[i] = counts.get(i, 0) + n
     return BowDocument(counts=counts, label=label, raw_text=text)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -358,6 +359,12 @@ def tokenize(text: str) -> list[str]:
     runs of [0-9a-z], without one-character and all-digit tokens."""
     tokens = re.findall(r"[0-9a-z]+", text.lower())
     return [t for t in tokens if len(t) >= 2 and not re.fullmatch(r"[0-9]+", t)]
+
+
+def document_frequencies(texts: list[str]) -> Counter:
+    """Number of texts each token occurs in, from each text's set of tokens,
+    before any df filter."""
+    return Counter(t for text in texts for t in set(tokenize(text)))
 
 
 def vectorize_counts(text: str, vocab: Vocabulary) -> dict[int, int]:

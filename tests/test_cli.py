@@ -92,6 +92,13 @@ class TestExitCodes:
                          "--set", "setcl.K=500", "--set", "train.batch_size=6"])
         assert code == cli.EXIT_USAGE
 
+    def test_empty_config_path_is_data_error(self, workdir, capsys):
+        code = cli.main(["train", "--input", str(workdir / "corpus.jsonl"), "--vocab", "v.json",
+                         "--cache", "c.jsonl", "--checkpoint", "ck.json", "--seed", "1",
+                         "--config", ""])
+        assert code == cli.EXIT_DATA
+        assert "data error: cannot read config file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("via", ["set", "config"])
     def test_bad_boolean_is_usage_error(self, workdir, capsys, via):
         args = ["train", "--input", str(workdir / "corpus.jsonl"), "--vocab", "v.json",
@@ -725,19 +732,27 @@ class TestCommandOutputs:
         assert out.read_bytes() == b"previous\n"
         assert sorted(os.listdir(workdir)) == names
 
-    @pytest.mark.parametrize("case", ["train-log-over-checkpoint", "augment-over-input",
+    @pytest.mark.parametrize("case", ["train-log-over-checkpoint", "train-log-over-config",
+                                      "train-checkpoint-over-config", "augment-over-input",
                                       "augment-over-input-through-link"])
     def test_output_naming_another_file_of_the_command_is_data_error(self, workdir, capsys,
                                                                       case):
         argv = reader_argv(workdir)
         assert cli.main(argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]) == 0
-        corpus, vocab, ckpt = (str(workdir / n) for n in ("corpus.jsonl", "vocab.json", "ck.json"))
+        corpus, vocab, ckpt, cfg = (str(workdir / n)
+                                    for n in ("corpus.jsonl", "vocab.json", "ck.json", "c.cfg"))
+        (workdir / "c.cfg").write_text("train.epochs = 1\n")
         link = workdir / "link.jsonl"
         link.symlink_to("corpus.jsonl")
         augment_over = ["augment", "--input", corpus, "--vocab", vocab, "--output"]
         command, refusal = {
             "train-log-over-checkpoint": (argv["train"] + TINY_TRAIN + ["--log", ckpt],
                                           f"{ckpt}: --log names the same file as --checkpoint"),
+            "train-log-over-config": (argv["train-config"] + TINY_TRAIN + ["--log", cfg],
+                                      f"{cfg}: --log names the same file as --config"),
+            "train-checkpoint-over-config": (
+                argv["train-config"] + TINY_TRAIN + ["--checkpoint", cfg],
+                f"{cfg}: --checkpoint names the same file as --config"),
             "augment-over-input": (augment_over + [corpus],
                                    f"{corpus}: --output names the same file as --input"),
             "augment-over-input-through-link": (

@@ -5,18 +5,37 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from paretopic.corpus import (BowDocument, Vocabulary, _token_counts, build_vocabulary,
-                              load_corpus, make_corpus, vectorize)
+from paretopic.corpus import (BowDocument, Vocabulary, build_vocabulary, load_corpus,
+                              make_corpus, vectorize)
 from paretopic.errors import DataError
+
+# Punctuation, digits, and characters that str.split takes for whitespace
+# (\x1c-\x1f, \x85, \xa0, \u3000) or that change under lower() (the Kelvin
+# sign lowers to ASCII "k", "İ" to "i" and a combining dot); "ﬁ" and "²" are
+# alphanumeric but not ASCII.
+PIECES = ["aa", "Bb", "BB", "a", "12", "7", "x9", "zz", "a1", ",", " ", "-", ".", "'",
+          "0", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000",
+          "\u212a", "\u0130", "\ufb01", "\xb2", "é"]
+
+
+def word_counts(text: str, vocab: Vocabulary) -> dict[str, int]:
+    """vectorize's counts keyed by word, in the same order."""
+    return {vocab.words[i]: c for i, c in vectorize(text, vocab).counts.items()}
 
 
 class TestTokenize:
     def test_lowercase_and_split(self):
-        assert _token_counts("Apple, BANANA! cherry apple") == {"apple": 2, "banana": 1,
-                                                               "cherry": 1}
+        text = "Apple, BANANA! cherry apple"
+        vocab = build_vocabulary([text], min_df=1, max_df_frac=1.0, max_size=10)
+        assert vocab.words == ["apple", "banana", "cherry"]
+        assert word_counts(text, vocab) == {"apple": 2, "banana": 1, "cherry": 1}
 
     def test_drops_short_and_digit_tokens(self):
-        assert list(_token_counts("a 42 ok x9 2nd")) == ["ok", "x9", "2nd"]
+        text = "a 42 ok x9 2nd"
+        vocab = build_vocabulary([text], min_df=1, max_df_frac=1.0, max_size=10)
+        assert vocab.words == ["2nd", "ok", "x9"]
+        vocab = Vocabulary(words=["2nd", "42", "a", "ok", "x9"], df=[1] * 5)
+        assert list(word_counts(text, vocab)) == ["ok", "x9", "2nd"]
 
 
 class TestBuildVocabulary:
@@ -58,6 +77,24 @@ class TestBuildVocabulary:
         assert vocab.words == ref.words
         assert vocab.df == ref.df
 
+    @pytest.mark.parametrize("min_df, max_df_frac, max_size", [(1, 1.0, 100), (2, 0.6, 100),
+                                                               (1, 0.9, 3)])
+    @given(texts=st.lists(st.lists(st.sampled_from(PIECES), max_size=30).map("".join),
+                          min_size=1, max_size=8))
+    def test_matches_document_frequency_oracle(self, texts, min_df, max_df_frac, max_size):
+        df = oracles.document_frequencies(texts)
+        kept = sorted(((w, c) for w, c in df.items() if min_df <= c <= max_df_frac * len(texts)),
+                      key=lambda wc: (-wc[1], wc[0]))[:max_size]
+        if not kept:
+            with pytest.raises(DataError, match="vocabulary empty"):
+                build_vocabulary(texts, min_df=min_df, max_df_frac=max_df_frac,
+                                 max_size=max_size)
+            return
+        vocab = build_vocabulary(texts, min_df=min_df, max_df_frac=max_df_frac,
+                                 max_size=max_size)
+        assert vocab.words == [w for w, _ in kept]
+        assert vocab.df == [c for _, c in kept]
+
 
 class TestVectorize:
     @pytest.fixture
@@ -79,14 +116,6 @@ class TestVectorize:
     def test_deterministic(self, vocab):
         assert vectorize("aa bb bb", vocab).counts == vectorize("aa bb bb", vocab).counts
 
-    # Punctuation, digits, and characters that str.split takes for whitespace
-    # (\x1c-\x1f, \x85, \xa0, \u3000) or that change under lower() (the Kelvin
-    # sign lowers to ASCII "k", "İ" to "i" and a combining dot); "ﬁ" and "²" are
-    # alphanumeric but not ASCII.
-    PIECES = ["aa", "Bb", "BB", "a", "12", "7", "x9", "zz", "a1", ",", " ", "-", ".", "'",
-              "0", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000",
-              "\u212a", "\u0130", "\ufb01", "\xb2", "é"]
-
     @given(st.lists(st.sampled_from(PIECES), max_size=60))
     def test_matches_per_token_count(self, pieces):
         """Same counts, in the same order, as counting the regex's tokens one by
@@ -95,7 +124,9 @@ class TestVectorize:
         vocab = Vocabulary(words=["12", "bb", "a", "x9", "aa", "a1", "kk", "ia", "zz"],
                            df=[1] * 9)
         text = "".join(pieces)
-        assert list(_token_counts(text).items()) == list(Counter(oracles.tokenize(text)).items())
+        tokens = Counter(oracles.tokenize(text))
+        every = Vocabulary(words=list(tokens), df=[1] * len(tokens))
+        assert list(word_counts(text, every).items()) == list(tokens.items())
         counts = vectorize(text, vocab).counts
         assert list(counts.items()) == list(oracles.vectorize_counts(text, vocab).items())
         assert 0 not in counts and 2 not in counts
@@ -160,6 +191,17 @@ class TestVocabularyIo:
         assert loaded.words == vocab.words
         assert loaded.df == vocab.df
         assert loaded.content_hash() == vocab.content_hash()
+
+    @pytest.mark.parametrize("text", ["a A 12 Ab AB ab a-b A-B aa", "x9,a-b;12 ab\u3000a\xa0Ab aB",
+                                      "\u212ab a.b 012 a-b-ab Ab-aa 12x9"])
+    def test_loaded_non_token_words_are_never_counted(self, tmp_path, text):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"words": ["aa", "a", "12", "Ab", "a-b", "ab", "x9", "kb"],
+                                    "df": [1] * 8}))
+        vocab = Vocabulary.load(str(path))
+        counts = vectorize(text, vocab).counts
+        assert counts and not counts.keys() & {1, 2, 3, 4}
+        assert list(counts.items()) == list(oracles.vectorize_counts(text, vocab).items())
 
     def test_duplicate_words_rejected(self):
         with pytest.raises(DataError):
