@@ -31,9 +31,6 @@ CONFIG_KEYS = {
     "setcl.K": "set_size",
     "setcl.S": "shuffle_count",
     "setcl.tau": "temperature",
-    "setcl.pooling_positive": "pool_positive",
-    "setcl.pooling_negative": "pool_negative",
-    "setcl.include_own_negative": "include_own_negative",
     "train.lr": "learning_rate",
     "train.batch_size": "batch_size",
     "train.epochs": "epochs",
@@ -41,9 +38,6 @@ CONFIG_KEYS = {
     "moo.strategy": "moo_strategy",
     "moo.linear_alpha": "linear_alpha",
 }
-
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
 
 def _apply_config_item(overrides: dict, item: str, where: str) -> None:
     """Parse one key=value item into overrides[field]; where prefixes errors."""
@@ -53,11 +47,8 @@ def _apply_config_item(overrides: dict, item: str, where: str) -> None:
     if key not in CONFIG_KEYS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
     field = CONFIG_KEYS[key]
-    kind = typing.get_type_hints(trainer.TrainConfig)[field]
     try:
-        if kind is bool and value.lower() not in _BOOLS:
-            raise ValueError(f"expected one of 1/0/true/false/yes/no, got {value!r}")
-        overrides[field] = _BOOLS[value.lower()] if kind is bool else kind(value)
+        overrides[field] = typing.get_type_hints(trainer.TrainConfig)[field](value)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 

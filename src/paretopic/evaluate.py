@@ -252,6 +252,9 @@ def load_topics(path: str, vocab: Vocabulary) -> list[list[int]]:
             if vocab.index[w] in row:  # NPMI scores only pairs of distinct words
                 raise DataError(f"{path}:{lineno}: word {w!r} appears twice")
             row.append(vocab.index[w])
+        if len(row) < 2:
+            raise DataError(f"{path}:{lineno}: a topic needs at least two words for NPMI, "
+                            f"got {len(row)}")
         topics.append(row)
     if not topics:
         raise DataError(f"topics file {path} holds no topic line")

@@ -23,7 +23,7 @@ from .diffnet import buffer
 Array = np.ndarray
 
 TIE_EPS = 1e-12  # a pair closer than this (||g1 - g2||^2) is a tie
-STRATEGIES = ("mgda", "linear", "random", "pcgrad")
+STRATEGIES = ("mgda", "linear", "pcgrad")
 
 
 @dataclass
@@ -87,14 +87,13 @@ def alpha_grid_oracle(g1: Array, g2: Array, steps: int = 10_000) -> float:
 
 
 def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5,
-                      rng: np.random.Generator | None = None,
                       losses: tuple[float, float] | None = None,
                       ws: dict | None = None) -> BlendDecision:
     """Pick a blend direction for (g1, g2) = (contrastive, ELBO) gradients:
     each strategy picks two weights, and the direction is w1 g1 + w2 g2.
 
-    ``mgda``, ``linear`` and ``random`` pick a convex pair (alpha, 1 - alpha)
-    with alpha in [0, 1]. ``mgda`` needs the two losses for its loss+ scaling:
+    ``mgda`` and ``linear`` pick a convex pair (alpha, 1 - alpha) with alpha
+    in [0, 1]. ``mgda`` needs the two losses for its loss+ scaling:
     with c_i = L_i sqrt(g_ii), it solves the Gram entries g_ij / (c_i c_j) for
     a. The min-norm point a g1/c1 + (1-a) g2/c2 is a positive multiple of
     beta g1 + (1-beta) g2 with beta = (a/c1) / (a/c1 + (1-a)/c2), and alpha is
@@ -103,7 +102,7 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5
     a ``degenerate_pair`` when the solved pair is closer than TIE_EPS.
     ``pcgrad`` projects each conflicting gradient onto the other's normal
     plane: weights (1 - g12/g11, 1 - g12/g22) when g12 < 0, else (1, 1).
-    ``linear``, ``random`` and ``pcgrad`` ignore ``losses``.
+    ``linear`` and ``pcgrad`` ignore ``losses``.
     """
     g1, g2 = _check_pair(g1, g2)
     g11, g12, g22 = _gram(g1, g2, ws)
@@ -119,10 +118,6 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5
             alpha, _, denom = _min_norm(g11, g12, g22)
     elif name == "linear":
         alpha = float(linear_alpha)
-    elif name == "random":
-        if rng is None:
-            raise ValueError("random strategy requires a seeded rng")
-        alpha = float(rng.uniform(0.0, 1.0))
     elif name == "pcgrad":
         alpha = None
         w1, w2 = (1.0, 1.0) if g12 >= 0.0 else (1.0 - g12 / g11, 1.0 - g12 / g22)

@@ -7,6 +7,13 @@ the batch rows each pooled entry came from, and the pooled gradients return
 to those rows. The cosine backward is one unit-vector backward over the
 four pooled arrays stacked, applied to dL/d(cosine) times the other side's
 unit vectors.
+
+The pooling is fixed: a 20-seed sweep of the planted fit found mean pooling
+no better than min/max on NPMI, topic diversity or macro-F1 (CHANGES.md).
+Sum pooling needs no run of its own: it is mean pooling times K, and cosine
+similarity is scale-invariant, so the two give the same loss and gradients
+(bit-identical at K=2 and K=4 on random batches, within 1.4e-15 relative at
+K=3 and K=5).
 """
 from __future__ import annotations
 
@@ -16,10 +23,6 @@ from .diffnet import buffer
 from .errors import NumericError
 
 Array = np.ndarray
-
-DEFAULT_POOL_POSITIVE = "min"
-DEFAULT_POOL_NEGATIVE = "max"
-POOL_MODES = ("min", "max", "mean", "sum")
 
 
 def build_index_matrix(B: int, S: int, rng_seed) -> Array:
@@ -66,12 +69,12 @@ def _unit_backward(Xh: Array, n: Array, dXh: Array) -> Array:
 
 
 def _loss_from_pooled(s_phim: Array, s_phip: Array, s_min: Array, s_plus: Array,
-                      tau: float, include_own_negative: bool, want_grads: bool,
-                      ws: dict | None = None):
+                      tau: float, want_grads: bool, ws: dict | None = None):
     """Loss and, optionally, gradients w.r.t. the pooled vectors, in the
     order of the arguments, as one [4, N, T] array. The four run as one stack
     through the unit vectors and their backward. One [N, N] buffer holds, in
-    turn, the negative logits, their exponentials and dL/d cos_neg."""
+    turn, the negative logits, their exponentials and dL/d cos_neg. A set's
+    own negative view is not among its negatives."""
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     U, norms = _unit(np.stack((s_phim, s_phip, s_min, s_plus)))
@@ -80,8 +83,7 @@ def _loss_from_pooled(s_phim: Array, s_phip: Array, s_min: Array, s_plus: Array,
     N = len(f_pos)
     F = np.matmul(Um, Vm.T, out=buffer(ws, "infonce.negatives", (N, N)))
     F /= tau
-    if not include_own_negative:
-        np.fill_diagonal(F, -np.inf)  # exponentiates to exactly 0 below
+    np.fill_diagonal(F, -np.inf)  # exponentiates to exactly 0 below
     m = np.maximum(f_pos, F.max(axis=1))
     e_pos = np.exp(f_pos - m)
     F -= m[:, None]
@@ -103,27 +105,17 @@ def _loss_from_pooled(s_phim: Array, s_phip: Array, s_min: Array, s_plus: Array,
 
 
 def _pool_members(A: Array, members: Array, mode: str):
-    """Pool gathered members A [N,K,T] of the sets ``members`` [N,K].
+    """Min- or max-pool gathered members A [N,K,T] of the sets ``members`` [N,K].
 
-    Returns the pooled [N,T] vectors, the batch rows each pooled entry came
-    from ([N,1,T] for min/max, [N,K,1] for mean/sum) and the divisor of the
-    gradient each of those rows receives.
+    Returns the pooled [N,T] vectors and the batch row each pooled entry came
+    from, as [N,T].
     """
-    if mode in ("min", "max"):
-        arg = A.argmin(axis=1) if mode == "min" else A.argmax(axis=1)  # [N,T]
-        n = np.arange(A.shape[0])[:, None]
-        return A[n, arg, np.arange(A.shape[2])], members[n, arg][:, None, :], 1
-    if mode == "mean":
-        return A.mean(axis=1), members[:, :, None], members.shape[1]
-    if mode == "sum":
-        return A.sum(axis=1), members[:, :, None], 1
-    raise ValueError(f"unknown pool mode {mode!r}, expected one of {POOL_MODES}")
+    arg = A.argmin(axis=1) if mode == "min" else A.argmax(axis=1)  # [N,T]
+    n = np.arange(A.shape[0])[:, None]
+    return A[n, arg, np.arange(A.shape[2])], members[n, arg]
 
 
 def infonce_with_grads(Z: Array, Zp: Array, Zm: Array, members: Array, tau: float,
-                       pool_positive: str = DEFAULT_POOL_POSITIVE,
-                       pool_negative: str = DEFAULT_POOL_NEGATIVE,
-                       include_own_negative: bool = False,
                        want_grads: bool = True, ws: dict | None = None):
     """Setwise InfoNCE over a batch, returning (loss, dZ, dZp, dZm).
 
@@ -131,22 +123,17 @@ def infonce_with_grads(Z: Array, Zp: Array, Zm: Array, members: Array, tau: floa
     negative views; members is the [N,K] set membership matrix.
     """
     A = Z[members]  # [N,K,T], pooled twice
-    pools = (_pool_members(A, members, pool_negative), _pool_members(A, members, pool_positive),
-             _pool_members(Zm[members], members, pool_negative),
-             _pool_members(Zp[members], members, pool_positive))
-    loss, grads = _loss_from_pooled(*(p[0] for p in pools), tau, include_own_negative,
-                                    want_grads, ws)
+    pools = (_pool_members(A, members, "max"), _pool_members(A, members, "min"),
+             _pool_members(Zm[members], members, "max"), _pool_members(Zp[members], members, "min"))
+    loss, grads = _loss_from_pooled(*(p[0] for p in pools), tau, want_grads, ws)
     if not want_grads:
         return loss, None, None, None
     B, T = Z.shape
-    index, weights = [], []  # per pool: flat [B,T] positions and the gradient each receives
-    for (_, rows, div), dS in zip(pools, grads):
-        at = rows * T + np.arange(T)
-        index.append(at.ravel())
-        weights.append(np.divide(dS[:, None, :], div, out=np.empty(at.shape)).ravel())
+    # per pool: the flat [B,T] position each pooled entry came from
+    index = [(rows * T + np.arange(T)).ravel() for _, rows in pools]
 
     def scatter(*which):  # sums in the order given, as sequential adds would
         return np.bincount(np.concatenate([index[i] for i in which]),
-                           np.concatenate([weights[i] for i in which]),
+                           np.concatenate([grads[i].ravel() for i in which]),
                            minlength=B * T).reshape(B, T)
     return loss, scatter(0, 1), scatter(3), scatter(2)

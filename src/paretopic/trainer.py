@@ -36,9 +36,6 @@ class TrainConfig:
     epochs: int = 200
     moo_strategy: str = "mgda"
     linear_alpha: float = 0.5
-    pool_positive: str = setcl.DEFAULT_POOL_POSITIVE
-    pool_negative: str = setcl.DEFAULT_POOL_NEGATIVE
-    include_own_negative: bool = False
 
     def validate(self) -> None:
         if self.seed < 0:
@@ -62,9 +59,6 @@ class TrainConfig:
         if self.moo_strategy not in moo.STRATEGIES:
             raise ConfigError(
                 f"unknown moo strategy {self.moo_strategy!r}, expected one of {moo.STRATEGIES}")
-        if self.pool_positive not in setcl.POOL_MODES \
-                or self.pool_negative not in setcl.POOL_MODES:
-            raise ConfigError("pooling modes must be one of min|max|mean|sum")
 
 
 @dataclass
@@ -147,10 +141,7 @@ def train_step(batch_rows: Array, state: ModelState, data: TrainData,
     members = setcl.build_sets(setcl.build_index_matrix(B, config.shuffle_count, rng),
                                config.set_size)
 
-    inf_loss, *dzs = setcl.infonce_with_grads(
-        *z, members, config.temperature,
-        pool_positive=config.pool_positive, pool_negative=config.pool_negative,
-        include_own_negative=config.include_own_negative, ws=workspace)
+    inf_loss, *dzs = setcl.infonce_with_grads(*z, members, config.temperature, ws=workspace)
     dz = np.stack(dzs, out=diffnet.buffer(workspace, "dz", z.shape))
     dmu, dlogvar = ntm.reparameterize_backward(dz, eps, cache, workspace)
     g_views = ntm.encoder_backward(cache, state.enc, dmu, dlogvar, workspace)
@@ -159,7 +150,7 @@ def train_step(batch_rows: Array, state: ModelState, data: TrainData,
     elbo = ntm.elbo_with_grads(X[0], state.enc, state.dec, eps[0], cache=cache[0], ws=workspace)
 
     decision = moo.strategy_dispatch(config.moo_strategy, g_inf, elbo.g_enc,
-                                     linear_alpha=config.linear_alpha, rng=rng,
+                                     linear_alpha=config.linear_alpha,
                                      losses=(inf_loss, elbo.loss), ws=workspace)
 
     for params, grad in ((state.enc, decision.direction), (state.dec, elbo.g_dec)):

@@ -32,8 +32,7 @@ def gate():
 def blend():
     corpus = planted_corpus(1, 400, doc_len=600)
     triples = make_triples(corpus, 1)
-    for strategy, alpha in [("mgda", 0.5), ("linear", 0.5), ("linear", 0.0), ("random", 0.5),
-                            ("pcgrad", 0.5)]:
+    for strategy, alpha in [("mgda", 0.5), ("linear", 0.5), ("linear", 0.0), ("pcgrad", 0.5)]:
         cfg = trainer.TrainConfig(seed=1, num_topics=5, hidden=60, batch_size=100, epochs=8,
                                   moo_strategy=strategy, linear_alpha=alpha)
         state, records = trainer.fit(corpus, triples, cfg)

@@ -17,6 +17,8 @@ from paretopic.errors import DataError, NumericError
 
 Array = np.ndarray
 
+POOL_MODES = ("min", "max", "mean", "sum")  # the reference pooling's; setcl pools by min/max
+
 
 def sigmoid(x: Array) -> Array:
     """Logistic function by boolean-mask indexing, one branch per sign."""
@@ -50,7 +52,7 @@ def pool(rows: Array, mode: str) -> Array:
         return rows.mean(axis=0)
     if mode == "sum":
         return rows.sum(axis=0)
-    raise ValueError(f"unknown pool mode {mode!r}, expected one of {setcl.POOL_MODES}")
+    raise ValueError(f"unknown pool mode {mode!r}, expected one of {POOL_MODES}")
 
 
 def pool_backward(rows: Array, mode: str, dy: Array) -> Array:
@@ -224,8 +226,8 @@ class SetRepresentation:
 
 
 def set_representations(members, Z: Array, Zp: Array, Zm: Array,
-                        pool_positive: str = setcl.DEFAULT_POOL_POSITIVE,
-                        pool_negative: str = setcl.DEFAULT_POOL_NEGATIVE) -> SetRepresentation:
+                        pool_positive: str = "min",
+                        pool_negative: str = "max") -> SetRepresentation:
     """Pool one set's member topic vectors (row indices) from the three views."""
     idx = np.asarray(members)
     if idx.max() >= Z.shape[0] or idx.max() >= Zp.shape[0] or idx.max() >= Zm.shape[0]:
@@ -238,27 +240,25 @@ def set_representations(members, Z: Array, Zp: Array, Zm: Array,
     )
 
 
-def setwise_infonce(reps: list[SetRepresentation], tau: float,
-                    include_own_negative: bool = False) -> float:
+def setwise_infonce(reps: list[SetRepresentation], tau: float) -> float:
     """Loss over precomputed set representations."""
     if not reps:
         raise ValueError("setwise_infonce: need at least one set")
     pooled = (np.stack([getattr(r, name) for r in reps])
               for name in ("s_phi_minus", "s_phi_plus", "s_minus", "s_plus"))
-    loss, _ = setcl._loss_from_pooled(*pooled, tau, include_own_negative, want_grads=False)
+    loss, _ = setcl._loss_from_pooled(*pooled, tau, want_grads=False)
     return loss
 
 
 def setwise_infonce_grads(Z: Array, Zp: Array, Zm: Array, members, tau: float,
-                          pool_positive: str, pool_negative: str,
-                          include_own_negative: bool = False):
+                          pool_positive: str, pool_negative: str):
     """(dL/dZ, dL/dZp, dL/dZm) of the setwise InfoNCE, one set and one cosine
     pair at a time, through ``cosine_sim_tau_backward`` and ``pool_backward``."""
     reps = [set_representations(m, Z, Zp, Zm, pool_positive, pool_negative) for m in members]
     N, T = len(reps), Z.shape[1]
     d_phim, d_phip, d_min, d_plus = (np.zeros((N, T)) for _ in range(4))
     for n, r in enumerate(reps):
-        negs = [j for j in range(N) if include_own_negative or j != n]
+        negs = [j for j in range(N) if j != n]
         f = np.array([cosine_sim_tau(r.s_phi_plus, r.s_plus, tau)]
                      + [cosine_sim_tau(r.s_phi_minus, reps[j].s_minus, tau) for j in negs])
         p = np.exp(f - f.max())
@@ -423,10 +423,8 @@ def train_step_per_view(batch_rows: Array, state, data, config, step: int) -> di
 
     members = setcl.build_sets(setcl.build_index_matrix(B, config.shuffle_count, rng),
                                config.set_size)
-    inf_loss, *dzs = setcl.infonce_with_grads(
-        *(z for _, _, z in views), members, config.temperature,
-        pool_positive=config.pool_positive, pool_negative=config.pool_negative,
-        include_own_negative=config.include_own_negative)
+    inf_loss, *dzs = setcl.infonce_with_grads(*(z for _, _, z in views), members,
+                                              config.temperature)
     g_inf, g_pos, g_neg = (
         ntm.encoder_backward(cache, state.enc, dz,
                              dz * eps * 0.5 * np.exp(cache.logvar / 2.0))
@@ -437,7 +435,7 @@ def train_step_per_view(batch_rows: Array, state, data, config, step: int) -> di
     cache_x, eps_x, _ = views[0]
     elbo = ntm.elbo_with_grads(Xb, state.enc, state.dec, eps_x, cache=cache_x)
     decision = moo.strategy_dispatch(config.moo_strategy, g_inf, elbo.g_enc,
-                                     linear_alpha=config.linear_alpha, rng=rng,
+                                     linear_alpha=config.linear_alpha,
                                      losses=(inf_loss, elbo.loss))
     np.subtract(state.enc.flat, config.learning_rate * decision.direction, out=state.enc.flat)
     np.subtract(state.dec.flat, config.learning_rate * elbo.g_dec, out=state.dec.flat)

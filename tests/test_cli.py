@@ -55,17 +55,6 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="bad value"):
             cli.parse_config_file(str(path))
 
-    def test_boolean_spellings(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        for text, value in (("1", True), ("TRUE", True), ("Yes", True),
-                            ("0", False), ("false", False), ("NO", False)):
-            path.write_text(f"setcl.include_own_negative = {text}\n")
-            assert cli.parse_config_file(str(path)) == {"include_own_negative": value}
-        for text in ("ture", "on", "2", ""):
-            path.write_text(f"setcl.include_own_negative = {text}\n")
-            with pytest.raises(ConfigError, match="bad value"):
-                cli.parse_config_file(str(path))
-
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("model.T 3\n")
@@ -100,16 +89,28 @@ class TestExitCodes:
         assert "data error: cannot read config file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("via", ["set", "config"])
-    def test_bad_boolean_is_usage_error(self, workdir, capsys, via):
-        args = ["train", "--input", str(workdir / "corpus.jsonl"), "--vocab", "v.json",
-                "--cache", "c.jsonl", "--checkpoint", "ck.json", "--seed", "1"]
+    @pytest.mark.parametrize("item, message", [
+        ("setcl.pooling_positive=mean", "unknown config key 'setcl.pooling_positive'"),
+        ("setcl.pooling_negative=max", "unknown config key 'setcl.pooling_negative'"),
+        ("setcl.include_own_negative=true", "unknown config key 'setcl.include_own_negative'"),
+        ("moo.strategy=random", "unknown moo strategy 'random'"),
+    ], ids=["pool-positive", "pool-negative", "own-negative", "random"])
+    def test_removed_setting_is_usage_error_before_any_read(self, tmp_path, capsys, via,
+                                                            item, message):
+        # only the config file exists: the setting must be refused before any other read
+        args = ["train", "--input", str(tmp_path / "corpus.jsonl"), "--vocab", "v.json",
+                "--cache", "c.jsonl", "--checkpoint", str(tmp_path / "ck.json"), "--seed", "1"]
         if via == "set":
-            args += ["--set", "setcl.include_own_negative=ture"]
+            args += ["--set", item]
         else:
-            (workdir / "c.cfg").write_text("setcl.include_own_negative = ture\n")
-            args += ["--config", str(workdir / "c.cfg")]
-        assert cli.main(args) == cli.EXIT_USAGE
-        assert "bad value for setcl.include_own_negative" in capsys.readouterr().err
+            (tmp_path / "c.cfg").write_text(item + "\n")
+            args += ["--config", str(tmp_path / "c.cfg")]
+        with mock.patch.object(builtins, "open", wraps=builtins.open) as opened:
+            assert cli.main(args) == cli.EXIT_USAGE
+        assert [c.args[0] for c in opened.call_args_list] == (
+            [str(tmp_path / "c.cfg")] if via == "config" else [])
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
 
     @pytest.mark.parametrize("settings, message", [
         (["train.lr=inf"], "learning_rate must be finite"),
@@ -603,6 +604,19 @@ class TestPipeline:
                          "--reference", corpus, "--output", str(workdir / "m.json")])
         assert code == cli.EXIT_DATA
         assert "holds no topic line" in capsys.readouterr().err
+
+    def test_one_word_topics_are_data_error_not_zero_npmi(self, workdir, capsys):
+        # NPMI averages over word pairs: a one-word topic has none, and once scored 0.0
+        argv = reader_argv(workdir)
+        topics, metrics = workdir / "topics.txt", workdir / "eval.json"
+        assert cli.main(argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]) == 0
+        assert cli.main(argv["topics"][:-1] + [str(topics), "--top-n", "1"]) == 0
+        assert all(len(line.split()) == 1 for line in topics.read_text().splitlines())
+        capsys.readouterr()
+        assert cli.main(argv["eval"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: {topics}:1: a topic needs at least "
+                                           "two words for NPMI, got 1\n")
+        assert not metrics.exists()
 
 
 class TestCommandOutputs:

@@ -333,10 +333,17 @@ class TestSimilarityProbe:
 class TestTopicsIo:
     def test_round_trip(self, tmp_path):
         vocab = Vocabulary(words=["aa", "bb", "cc"], df=[1, 1, 1])
-        topics = [[2, 0], [1]]
+        topics = [[2, 0], [1, 2]]
         path = tmp_path / "topics.txt"
         evaluate.save_topics(topics, vocab, str(path))
         assert evaluate.load_topics(str(path), vocab) == topics
+
+    def test_one_word_topic_rejected(self, tmp_path):
+        vocab = Vocabulary(words=["aa", "bb"], df=[1, 1])
+        path = tmp_path / "topics.txt"
+        path.write_text("aa bb\nbb\n")
+        with pytest.raises(DataError, match=r"topics\.txt:2: a topic needs at least two words"):
+            evaluate.load_topics(str(path), vocab)
 
     def test_oov_word_rejected(self, tmp_path):
         vocab = Vocabulary(words=["aa"], df=[1])

@@ -151,15 +151,23 @@ class TestSetwiseInfonce:
         reps[1].s_minus = reps[0].s_phi_minus.copy()
         assert setwise_infonce(reps, tau=0.2) > base
 
-    def test_own_negative_excluded_by_default(self):
-        rng = np.random.default_rng(7)
-        Z, Zp, Zm = (rng.standard_normal((4, 3)) for _ in range(3))
-        members = setcl.members_matrix(
-            setcl.build_sets(setcl.build_index_matrix(4, 1, rng_seed=0), 2))
-        reps = reps_from_views(Z, Zp, Zm, members)
-        excl = setwise_infonce(reps, tau=0.2, include_own_negative=False)
-        incl = setwise_infonce(reps, tau=0.2, include_own_negative=True)
-        assert incl > excl  # extra denominator term can only raise the loss
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_sum_pooling_is_mean_pooling(self, K):
+        """Cosine similarity is scale-invariant, and sum pooling is mean pooling times
+        K: exactly so at powers of two, within rounding otherwise."""
+        rng = np.random.default_rng(K)
+        for _ in range(10):
+            Z, Zp, Zm, members = random_batch(rng, 40, 5, K, 3)
+            by_mode = [(setwise_infonce(reps_from_views(Z, Zp, Zm, members, pool_positive=m,
+                                                        pool_negative=m), tau=0.2),
+                        *oracles.setwise_infonce_grads(Z, Zp, Zm, members, 0.2, m, m))
+                       for m in ("mean", "sum")]
+            for got, ref in zip(*by_mode):
+                if K in (2, 4):
+                    assert bits_equal(np.asarray(got), np.asarray(ref))
+                else:
+                    np.testing.assert_allclose(got, ref, rtol=1e-14,
+                                               atol=1e-14 * np.abs(ref).max())
 
 
 class TestInstanceWiseReduction:
@@ -186,9 +194,6 @@ class TestInstanceWiseReduction:
                                          abs=1e-10)
 
 
-POOL_PAIRS = [(p, n) for p in setcl.POOL_MODES for n in setcl.POOL_MODES]
-
-
 def random_batch(rng, B, T, K, S, rounded=False):
     Z, Zp, Zm = (rng.standard_normal((B, T)) for _ in range(3))
     if rounded:  # many exact ties among set members
@@ -203,43 +208,35 @@ def bits_equal(a, b):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("pool_pos,pool_neg", [("min", "max"), ("mean", "sum")])
-    def test_grads_match_fd(self, pool_pos, pool_neg):
+    def test_grads_match_fd(self):
         rng = np.random.default_rng(9)
         B, T, K, S = 9, 5, 3, 2
         Z, Zp, Zm = (rng.standard_normal((B, T)) for _ in range(3))
         members = setcl.members_matrix(
             setcl.build_sets(setcl.build_index_matrix(B, S, rng_seed=2), K))
-        loss, dZ, dZp, dZm = setcl.infonce_with_grads(
-            Z, Zp, Zm, members, tau=0.2, pool_positive=pool_pos, pool_negative=pool_neg)
+        loss, dZ, dZp, dZm = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.2)
         h = 1e-6
         for view, grad in ((Z, dZ), (Zp, dZp), (Zm, dZm)):
             flat = view.ravel()
             for i in rng.choice(flat.size, size=12, replace=False):
                 orig = flat[i]
                 flat[i] = orig + h
-                lp, *_ = setcl.infonce_with_grads(
-                    Z, Zp, Zm, members, tau=0.2, want_grads=False,
-                    pool_positive=pool_pos, pool_negative=pool_neg)
+                lp, *_ = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.2,
+                                                  want_grads=False)
                 flat[i] = orig - h
-                lm, *_ = setcl.infonce_with_grads(
-                    Z, Zp, Zm, members, tau=0.2, want_grads=False,
-                    pool_positive=pool_pos, pool_negative=pool_neg)
+                lm, *_ = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.2,
+                                                  want_grads=False)
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 a = grad.ravel()[i]
                 assert abs(a - fd) / max(1e-8, abs(a) + abs(fd)) < 1e-4
 
-    @pytest.mark.parametrize("pool_pos,pool_neg", POOL_PAIRS)
-    def test_grads_match_per_set_oracle(self, pool_pos, pool_neg):
+    def test_grads_match_per_set_oracle(self):
         rng = np.random.default_rng(12)
-        for include_own_negative in (False, True):
+        for _ in range(2):
             Z, Zp, Zm, members = random_batch(rng, 10, 5, 3, 3)
-            _, *grads = setcl.infonce_with_grads(
-                Z, Zp, Zm, members, tau=0.2, pool_positive=pool_pos, pool_negative=pool_neg,
-                include_own_negative=include_own_negative)
-            expect = oracles.setwise_infonce_grads(Z, Zp, Zm, members, 0.2, pool_pos,
-                                                   pool_neg, include_own_negative)
+            _, *grads = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.2)
+            expect = oracles.setwise_infonce_grads(Z, Zp, Zm, members, 0.2, "min", "max")
             for got, ref in zip(grads, expect):
                 np.testing.assert_allclose(got, ref, rtol=1e-10,
                                            atol=1e-10 * np.abs(ref).max())
@@ -255,13 +252,12 @@ class TestGradients:
 
 
 class TestRouting:
-    @pytest.mark.parametrize("pool_pos,pool_neg", POOL_PAIRS)
-    def test_routing_matches_per_mode_oracle(self, monkeypatch, pool_pos, pool_neg):
+    def test_routing_matches_per_mode_oracle(self, monkeypatch):
         # fixed pooled gradients: only the routing back to the batch rows is tested
         rng = np.random.default_rng(11)
         fixed = []
 
-        def stub(*args):  # the four pooled arrays, then tau and two flags
+        def stub(*args):  # the four pooled arrays, then tau, want_grads and ws
             fixed[:] = [rng.standard_normal(pooled.shape) for pooled in args[:4]]
             return 0.0, tuple(fixed)
 
@@ -270,11 +266,10 @@ class TestRouting:
                                     (6, 4, 1, 3, True), (6, 4, 6, 3, True),
                                     (7, 3, 7, 1, False)):
             Z, Zp, Zm, members = random_batch(rng, B, T, K, S, rounded)
-            _, dZ, dZp, dZm = setcl.infonce_with_grads(
-                Z, Zp, Zm, members, tau=0.2, pool_positive=pool_pos, pool_negative=pool_neg)
+            _, dZ, dZp, dZm = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.2)
             expect = [np.zeros_like(Z), np.zeros_like(Zp), np.zeros_like(Zm)]
             for (view, out), mode, dS in zip(((Z, 0), (Z, 0), (Zm, 2), (Zp, 1)),
-                                             (pool_neg, pool_pos, pool_neg, pool_pos), fixed):
+                                             ("max", "min", "max", "min"), fixed):
                 _, arg = oracles.pool_members(view[members], mode)
                 oracles.route_back(expect[out], members, arg, dS, mode)
             for got, ref in zip((dZ, dZp, dZm), expect):
