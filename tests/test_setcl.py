@@ -151,6 +151,26 @@ class TestSetwiseInfonce:
         reps[1].s_minus = reps[0].s_phi_minus.copy()
         assert setwise_infonce(reps, tau=0.2) > base
 
+    def test_own_negative_excluded_by_default(self):
+        rng = np.random.default_rng(7)
+        Z, Zp, Zm = (rng.standard_normal((4, 3)) for _ in range(3))
+        members = setcl.members_matrix(
+            setcl.build_sets(setcl.build_index_matrix(4, 1, rng_seed=0), 2))
+        reps = reps_from_views(Z, Zp, Zm, members)
+
+        def by_hand(own):  # sum over sets of logsumexp(positive, negatives) - positive
+            total = 0.0
+            for n, r in enumerate(reps):
+                f_pos = oracles.cosine_sim_tau(r.s_phi_plus, r.s_plus, 0.2)
+                f = [f_pos] + [oracles.cosine_sim_tau(r.s_phi_minus, q.s_minus, 0.2)
+                               for j, q in enumerate(reps) if own or j != n]
+                total += math.log(sum(math.exp(x) for x in f)) - f_pos
+            return total
+
+        excl = setwise_infonce(reps, tau=0.2)
+        assert excl == pytest.approx(by_hand(own=False), rel=1e-12)
+        assert by_hand(own=True) > excl  # extra denominator term can only raise the loss
+
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_sum_pooling_is_mean_pooling(self, K):
         """Cosine similarity is scale-invariant, and sum pooling is mean pooling times
@@ -194,6 +214,9 @@ class TestInstanceWiseReduction:
                                          abs=1e-10)
 
 
+POOL_PAIRS = [("min", "max")]  # the reference pooling that setcl must match
+
+
 def random_batch(rng, B, T, K, S, rounded=False):
     Z, Zp, Zm = (rng.standard_normal((B, T)) for _ in range(3))
     if rounded:  # many exact ties among set members
@@ -208,13 +231,17 @@ def bits_equal(a, b):
 
 
 class TestGradients:
-    def test_grads_match_fd(self):
+    @pytest.mark.parametrize("pool_pos,pool_neg", POOL_PAIRS)
+    def test_grads_match_fd(self, pool_pos, pool_neg):
         rng = np.random.default_rng(9)
         B, T, K, S = 9, 5, 3, 2
         Z, Zp, Zm = (rng.standard_normal((B, T)) for _ in range(3))
         members = setcl.members_matrix(
             setcl.build_sets(setcl.build_index_matrix(B, S, rng_seed=2), K))
         loss, dZ, dZp, dZm = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.2)
+        reps = reps_from_views(Z, Zp, Zm, members, pool_positive=pool_pos,
+                               pool_negative=pool_neg)
+        assert loss == pytest.approx(setwise_infonce(reps, tau=0.2), rel=1e-12)
         h = 1e-6
         for view, grad in ((Z, dZ), (Zp, dZp), (Zm, dZm)):
             flat = view.ravel()
@@ -231,12 +258,14 @@ class TestGradients:
                 a = grad.ravel()[i]
                 assert abs(a - fd) / max(1e-8, abs(a) + abs(fd)) < 1e-4
 
-    def test_grads_match_per_set_oracle(self):
+    @pytest.mark.parametrize("pool_pos,pool_neg", POOL_PAIRS)
+    def test_grads_match_per_set_oracle(self, pool_pos, pool_neg):
         rng = np.random.default_rng(12)
         for _ in range(2):
             Z, Zp, Zm, members = random_batch(rng, 10, 5, 3, 3)
             _, *grads = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.2)
-            expect = oracles.setwise_infonce_grads(Z, Zp, Zm, members, 0.2, "min", "max")
+            expect = oracles.setwise_infonce_grads(Z, Zp, Zm, members, 0.2, pool_pos,
+                                                   pool_neg)
             for got, ref in zip(grads, expect):
                 np.testing.assert_allclose(got, ref, rtol=1e-10,
                                            atol=1e-10 * np.abs(ref).max())
@@ -252,7 +281,8 @@ class TestGradients:
 
 
 class TestRouting:
-    def test_routing_matches_per_mode_oracle(self, monkeypatch):
+    @pytest.mark.parametrize("pool_pos,pool_neg", POOL_PAIRS)
+    def test_routing_matches_per_mode_oracle(self, monkeypatch, pool_pos, pool_neg):
         # fixed pooled gradients: only the routing back to the batch rows is tested
         rng = np.random.default_rng(11)
         fixed = []
@@ -269,7 +299,7 @@ class TestRouting:
             _, dZ, dZp, dZm = setcl.infonce_with_grads(Z, Zp, Zm, members, tau=0.2)
             expect = [np.zeros_like(Z), np.zeros_like(Zp), np.zeros_like(Zm)]
             for (view, out), mode, dS in zip(((Z, 0), (Z, 0), (Zm, 2), (Zp, 1)),
-                                             ("max", "min", "max", "min"), fixed):
+                                             (pool_neg, pool_pos, pool_neg, pool_pos), fixed):
                 _, arg = oracles.pool_members(view[members], mode)
                 oracles.route_back(expect[out], members, arg, dS, mode)
             for got, ref in zip((dZ, dZp, dZm), expect):
