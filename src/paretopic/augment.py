@@ -1,5 +1,5 @@
-"""Positive/negative document augmentation in three modes: LLM endpoint, TF-IDF word
-replacement and dropout. A document whose LLM views are unusable gets the TF-IDF pair.
+"""Positive/negative document augmentation in two modes: LLM endpoint and TF-IDF word
+replacement. A document whose LLM views are unusable gets the TF-IDF pair.
 
 LLM augmentation is an offline preprocessing step; results are cached to a
 JSONL file so training stays reproducible and offline-runnable.
@@ -26,18 +26,18 @@ API_KEY_ENV = "PARETOPIC_API_KEY"
 PROMPT_TEMPLATE = "A sentence that is <{polarity}> to this text: {text}"
 
 DEFAULT_REPLACE_FRAC = 0.3
-DEFAULT_DROP_FRAC = 0.3
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 @dataclass
 class AugmentedTriple:
     """A document's positive and negative views: LLM text, or a {word: count} bag of
-    words from the TF-IDF and dropout augmentations, built against vocab_hash."""
+    words from the TF-IDF augmentation, built against vocab_hash. method is informational:
+    a cache of any method loads and trains."""
     anchor_id: int
     positive_text: str | dict[str, int]
     negative_text: str | dict[str, int]
-    method: str  # llm | tfidf | dropout
+    method: str  # llm | tfidf
     vocab_hash: str | None = None
 
     def __post_init__(self):
@@ -186,22 +186,6 @@ class TfidfAugmenter:
         return BowDocument(counts=new_counts, label=doc.label)
 
 
-def dropout_augment(doc: BowDocument, drop_frac: float = DEFAULT_DROP_FRAC,
-                    rng_seed: int = 0) -> BowDocument:
-    """Remove floor(drop_frac * nnz) uniformly chosen entries, never all of them."""
-    if not (0.0 < drop_frac < 1.0):
-        raise ValueError(f"drop_frac must be in (0, 1), got {drop_frac}")
-    if doc.is_empty:
-        raise DataError("dropout_augment: empty document")
-    nnz = len(doc.counts)
-    n_drop = min(int(drop_frac * nnz), nnz - 1)
-    rng = np.random.default_rng(rng_seed)
-    keys = sorted(doc.counts)
-    dropped = set(rng.choice(len(keys), size=n_drop, replace=False).tolist())
-    counts = {w: doc.counts[w] for i, w in enumerate(keys) if i not in dropped}
-    return BowDocument(counts=counts, label=doc.label)
-
-
 def bow_to_text(doc: BowDocument, vocab) -> str:
     """Render a bag of words back to a token string (count copies per word)."""
     parts = []
@@ -240,20 +224,19 @@ def load_augmentations(path: str, corpus_size: int) -> list[AugmentedTriple]:
 
 def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
                              replace_frac: float = DEFAULT_REPLACE_FRAC,
-                             drop_frac: float = DEFAULT_DROP_FRAC,
                              rng_seed: int = 0,
                              llm_options: dict | None = None) -> list[AugmentedTriple]:
     """Produce one (positive, negative) pair of views per nonempty document:
-    LLM completions as text, every other view as a {word: count} bag of words.
+    LLM completions as text, TF-IDF views as {word: count} bags of words.
 
     A document whose LLM call fails or yields a completion view_document refuses gets
-    the TF-IDF pair; the TF-IDF and dropout views of a nonempty document are never empty.
+    the TF-IDF pair; the TF-IDF views of a nonempty document are never empty.
     """
-    if method not in ("llm", "tfidf", "dropout"):
-        raise ValueError(f"unknown augmentation method {method!r}: expected llm, tfidf or dropout")
+    if method not in ("llm", "tfidf"):
+        raise ValueError(f"unknown augmentation method {method!r}: expected llm or tfidf")
     vocab = corpus.vocabulary
     vocab_hash = vocab.content_hash()
-    tfidf = TfidfAugmenter(corpus) if method in ("tfidf", "llm") else None
+    tfidf = TfidfAugmenter(corpus)
     triples = []
     for i, doc in enumerate(corpus.documents):
         if doc.is_empty:
@@ -272,9 +255,6 @@ def build_augmentation_cache(corpus: Corpus, method: str = "tfidf",
         if used == "tfidf":
             views = [tfidf.augment(doc, "related", replace_frac, rng_seed + 2 * i),
                      tfidf.augment(doc, "unrelated", replace_frac, rng_seed + 2 * i + 1)]
-        elif used == "dropout":
-            views = [dropout_augment(doc, drop_frac, rng_seed + 2 * i),
-                     tfidf_negative_fallback(corpus, doc, rng_seed + 2 * i + 1)]
         pos, neg = (v if isinstance(v, str) else
                     {vocab.words[w]: c for w, c in sorted(v.counts.items())} for v in views)
         triples.append(AugmentedTriple(anchor_id=i, positive_text=pos, negative_text=neg,
@@ -302,13 +282,3 @@ def _absent_words(doc: BowDocument, vocab_size: int) -> list[int]:
     fresh = np.ones(vocab_size, dtype=bool)
     fresh[list(doc.counts)] = False
     return np.flatnonzero(fresh).tolist()
-
-
-def tfidf_negative_fallback(corpus: Corpus, doc: BowDocument, rng_seed: int) -> BowDocument:
-    """Negative view for dropout mode: random words not in the document."""
-    rng = np.random.default_rng(rng_seed)
-    vocab_size = corpus.vocabulary.size
-    candidates = _absent_words(doc, vocab_size) or list(range(vocab_size))
-    n = min(len(doc.counts), len(candidates))
-    picks = rng.choice(len(candidates), size=n, replace=False)
-    return BowDocument(counts={candidates[int(p)]: 1 for p in picks}, label=doc.label)

@@ -65,6 +65,7 @@ def _checked(kind, ok, expected: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_TOP_N = _checked(int, lambda v: v >= 2, "an integer >= 2")  # NPMI scores word pairs
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _OPEN_FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _DF_FRACTION = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
@@ -142,8 +143,8 @@ def cmd_augment(args) -> int:
                        "model": args.model}
     corpus = _load_vocab_corpus(args.input, args.vocab)
     triples = augment_mod.build_augmentation_cache(
-        corpus, method=args.mode, replace_frac=args.replace_frac,
-        drop_frac=args.drop_frac, rng_seed=args.seed, llm_options=llm_options)
+        corpus, method=args.mode, replace_frac=args.replace_frac, rng_seed=args.seed,
+        llm_options=llm_options)
     augment_mod.cache_augmentations(triples, args.output)
     print(f"{len(triples)} augmented triples written to {args.output}")
     return EXIT_OK
@@ -327,13 +328,12 @@ def build_parser() -> _Parser:
 
     p = command("augment", cmd_augment, "build the positive/negative augmentation cache",
                 needs=("input", "vocab"), writes=("output",))
-    p.add_argument("--mode", choices=["llm", "tfidf", "dropout"], default="tfidf")
+    p.add_argument("--mode", choices=["llm", "tfidf"], default="tfidf")
     p.add_argument("--endpoint", help="chat-completions endpoint URL (llm mode)")
     p.add_argument("--model", default="gpt-3.5-turbo")
     p.add_argument("--timeout", type=_checked(float, lambda v: 0.0 < v < float("inf"),
                                               "a finite number > 0"), default=30.0)
     p.add_argument("--replace-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_REPLACE_FRAC)
-    p.add_argument("--drop-frac", type=_OPEN_FRACTION, default=augment_mod.DEFAULT_DROP_FRAC)
     p.add_argument("--seed", type=_SEED, default=0)
 
     p = command("train", cmd_train, "train the topic model (defaults: K=4 S=8 "
@@ -347,7 +347,7 @@ def build_parser() -> _Parser:
 
     p = command("topics", cmd_topics, "dump top words per topic from a checkpoint",
                 needs=("checkpoint", "vocab"), writes=("output",))
-    p.add_argument("--top-n", type=_POSITIVE_INT, default=evaluate.DEFAULT_TOP_N)
+    p.add_argument("--top-n", type=_TOP_N, default=evaluate.DEFAULT_TOP_N)
 
     command("eval", cmd_eval, "NPMI and topic diversity against a reference corpus",
             needs=("topics", "vocab", "reference"), writes=("output",))

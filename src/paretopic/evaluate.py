@@ -80,14 +80,16 @@ def npmi(topics: list[list[int]], stats: CooccurrenceStats,
     """Per-topic mean NPMI over all top-word pairs, plus the overall mean.
 
     Pairs whose either word never occurs in the reference corpus contribute
-    the metric minimum of -1.
+    the metric minimum of -1. A topic of fewer than two words has no pair: a ValueError.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if stats.doc_count <= 0:
         raise DataError("empty co-occurrence stats")
     per_topic = []
-    for words in topics:
+    for k, words in enumerate(topics):
+        if len(words) < 2:
+            raise ValueError(f"topic {k} has {len(words)} word(s); NPMI needs at least two")
         vals = []
         for a, b in combinations(words, 2):
             pi, pj = stats.p_word(a), stats.p_word(b)
@@ -96,7 +98,7 @@ def npmi(topics: list[list[int]], stats: CooccurrenceStats,
                 continue
             pij = stats.p_pair(a, b)
             vals.append(math.log((pij + eps) / (pi * pj)) / (-math.log(pij + eps)))
-        per_topic.append(sum(vals) / len(vals) if vals else 0.0)
+        per_topic.append(sum(vals) / len(vals))
     return per_topic, sum(per_topic) / len(per_topic)
 
 

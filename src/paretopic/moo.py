@@ -1,4 +1,4 @@
-"""Two-task gradient blending: min-norm Pareto solver and baseline strategies.
+"""Two-task gradient blending: the min-norm Pareto solver and a fixed linear weighting.
 
 Every decision is read off the pair's Gram matrix G = [[g1.g1, g1.g2],
 [g1.g2, g2.g2]]: three numpy sums rather than BLAS dot products, whose
@@ -23,12 +23,12 @@ from .diffnet import buffer
 Array = np.ndarray
 
 TIE_EPS = 1e-12  # a pair closer than this (||g1 - g2||^2) is a tie
-STRATEGIES = ("mgda", "linear", "pcgrad")
+STRATEGIES = ("mgda", "linear")
 
 
 @dataclass
 class BlendDecision:
-    alpha: float | None  # None for pcgrad (direction only)
+    alpha: float
     direction: Array
     diagnostics: dict = field(default_factory=dict)
 
@@ -90,19 +90,17 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5
                       losses: tuple[float, float] | None = None,
                       ws: dict | None = None) -> BlendDecision:
     """Pick a blend direction for (g1, g2) = (contrastive, ELBO) gradients:
-    each strategy picks two weights, and the direction is w1 g1 + w2 g2.
+    each strategy picks a convex pair (alpha, 1 - alpha) with alpha in [0, 1],
+    and the direction is alpha g1 + (1 - alpha) g2.
 
-    ``mgda`` and ``linear`` pick a convex pair (alpha, 1 - alpha) with alpha
-    in [0, 1]. ``mgda`` needs the two losses for its loss+ scaling:
+    ``linear`` takes ``linear_alpha`` and ignores ``losses``. ``mgda`` needs
+    the two losses for its loss+ scaling:
     with c_i = L_i sqrt(g_ii), it solves the Gram entries g_ij / (c_i c_j) for
     a. The min-norm point a g1/c1 + (1-a) g2/c2 is a positive multiple of
     beta g1 + (1-beta) g2 with beta = (a/c1) / (a/c1 + (1-a)/c2), and alpha is
     beta. If ``losses`` is None or either c_i is not positive (a zero loss or
     gradient) the solve runs on G itself and beta = a. The diagnostics flag
     a ``degenerate_pair`` when the solved pair is closer than TIE_EPS.
-    ``pcgrad`` projects each conflicting gradient onto the other's normal
-    plane: weights (1 - g12/g11, 1 - g12/g22) when g12 < 0, else (1, 1).
-    ``linear`` and ``pcgrad`` ignore ``losses``.
     """
     g1, g2 = _check_pair(g1, g2)
     g11, g12, g22 = _gram(g1, g2, ws)
@@ -118,17 +116,12 @@ def strategy_dispatch(name: str, g1: Array, g2: Array, linear_alpha: float = 0.5
             alpha, _, denom = _min_norm(g11, g12, g22)
     elif name == "linear":
         alpha = float(linear_alpha)
-    elif name == "pcgrad":
-        alpha = None
-        w1, w2 = (1.0, 1.0) if g12 >= 0.0 else (1.0 - g12 / g11, 1.0 - g12 / g22)
     else:
         raise ValueError(f"unknown strategy {name!r}, expected one of {STRATEGIES}")
-    if alpha is not None:
-        if not (0.0 <= alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        w1, w2 = alpha, 1.0 - alpha
-    direction = np.multiply(g1, w1, out=buffer(ws, "moo.direction", g1.shape))
-    direction += np.multiply(g2, w2, out=buffer(ws, "moo.product", g2.shape))
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    direction = np.multiply(g1, alpha, out=buffer(ws, "moo.direction", g1.shape))
+    direction += np.multiply(g2, 1.0 - alpha, out=buffer(ws, "moo.product", g2.shape))
     diagnostics = {
         "g1_norm": n1,
         "g2_norm": n2,

@@ -155,17 +155,6 @@ def blend(g1: Array, g2: Array, alpha: float) -> Array:
     return alpha * g1 + (1.0 - alpha) * g2
 
 
-def pcgrad_direction(g1: Array, g2: Array) -> Array:
-    """PCGrad (Yu et al. 2020) as two explicit projections: each gradient
-    that conflicts with the other loses its component along the other."""
-    dot = float((g1 * g2).sum())
-    if dot >= 0.0:
-        return g1 + g2
-    p1 = g1 - dot / float((g2 * g2).sum()) * g2
-    p2 = g2 - dot / float((g1 * g1).sum()) * g1
-    return p1 + p2
-
-
 def align_topics(scores: list[list[float]], threshold: float) -> list[tuple[int, int, float]]:
     """``evaluate.align_topics`` on precomputed JS scores as the original loop:
     each round scans the free rows and columns for the lowest score, ties

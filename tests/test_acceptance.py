@@ -268,17 +268,17 @@ N_TRAIN = 1600
 
 
 def make_triples(corpus, seed):
+    """The gate's TF-IDF views, as the {word: count} bags build_augmentation_cache writes."""
     aug = augment.TfidfAugmenter(corpus)
+    words = corpus.vocabulary.words
     triples = []
     for i in corpus.trainable_indices():
         doc = corpus.documents[i]
         pos = aug.augment(doc, "related", rng_seed=seed * 100003 + i)
         neg = aug.augment(doc, "unrelated", rng_seed=seed * 100003 + i + 1)
-        triples.append(augment.AugmentedTriple(
-            anchor_id=i,
-            positive_text=augment.bow_to_text(pos, corpus.vocabulary),
-            negative_text=augment.bow_to_text(neg, corpus.vocabulary),
-            method="tfidf"))
+        pos, neg = ({words[w]: c for w, c in sorted(v.counts.items())} for v in (pos, neg))
+        triples.append(augment.AugmentedTriple(anchor_id=i, positive_text=pos,
+                                               negative_text=neg, method="tfidf"))
     return triples
 
 

@@ -18,8 +18,7 @@ import oracles
 from paretopic import augment
 from paretopic.augment import (AugmentedTriple, LlmAugmentError, TfidfAugmenter,
                                bow_to_text, build_augmentation_cache,
-                               cache_augmentations, dropout_augment,
-                               llm_augment, load_augmentations, tfidf_negative_fallback)
+                               cache_augmentations, llm_augment, load_augmentations)
 from paretopic.corpus import BowDocument, Corpus, Vocabulary, build_vocabulary, make_corpus
 from paretopic.errors import DataError
 
@@ -363,24 +362,6 @@ class TestTfidfAugmenter:
                 assert list(got.counts.items()) == list(want.counts.items())
 
 
-class TestDropoutAugment:
-    def test_drops_expected_count(self):
-        doc = BowDocument(counts={i: 1 for i in range(10)})
-        out = dropout_augment(doc, drop_frac=0.3, rng_seed=0)
-        assert len(out.counts) == 7
-        assert set(out.counts) <= set(doc.counts)
-
-    def test_never_drops_everything(self):
-        doc = BowDocument(counts={0: 1, 1: 1})
-        out = dropout_augment(doc, drop_frac=0.9, rng_seed=0)
-        assert len(out.counts) == 1
-
-    def test_small_doc_unchanged(self):
-        doc = BowDocument(counts={3: 2})
-        out = dropout_augment(doc, drop_frac=0.3, rng_seed=0)
-        assert out.counts == {3: 2}
-
-
 class TestBowToText:
     def test_repeats_counts(self, corpus):
         vocab = corpus.vocabulary
@@ -446,7 +427,7 @@ class TestBuildCache:
         assert all(t.vocab_hash == corpus.vocabulary.content_hash() for t in triples)
 
     def test_unknown_method_is_rejected(self, corpus):
-        with pytest.raises(ValueError, match="'tfdif': expected llm, tfidf or dropout"):
+        with pytest.raises(ValueError, match="'tfdif': expected llm or tfidf"):
             build_augmentation_cache(corpus, method="tfdif")
 
     def test_views_are_the_augmented_bags_of_words(self, corpus):
@@ -479,13 +460,12 @@ class TestBuildCache:
     @given(corpus_and_doc(), st.integers(0, 2 ** 63),
            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     @settings(max_examples=300, deadline=None)
-    def test_tfidf_and_dropout_views_are_never_empty(self, case, seed, frac):
-        """So a TF-IDF or dropout cache needs no fallback: only an LLM completion can
-        be unusable, and the cache builder then takes the TF-IDF pair."""
+    def test_tfidf_views_are_never_empty(self, case, seed, frac):
+        """So a TF-IDF cache needs no fallback: only an LLM completion can be
+        unusable, and the cache builder then takes the TF-IDF pair."""
         corpus, doc = case
         aug = TfidfAugmenter(corpus)
-        views = [aug.augment(doc, "related", frac, seed), aug.augment(doc, "unrelated", frac, seed),
-                 dropout_augment(doc, frac, seed), tfidf_negative_fallback(corpus, doc, seed)]
+        views = [aug.augment(doc, "related", frac, seed), aug.augment(doc, "unrelated", frac, seed)]
         assert all(view.counts for view in views)
 
     def test_oov_llm_output_gets_the_tfidf_pair(self, corpus):

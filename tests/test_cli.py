@@ -94,7 +94,8 @@ class TestExitCodes:
         ("setcl.pooling_negative=max", "unknown config key 'setcl.pooling_negative'"),
         ("setcl.include_own_negative=true", "unknown config key 'setcl.include_own_negative'"),
         ("moo.strategy=random", "unknown moo strategy 'random'"),
-    ], ids=["pool-positive", "pool-negative", "own-negative", "random"])
+        ("moo.strategy=pcgrad", "unknown moo strategy 'pcgrad'"),
+    ], ids=["pool-positive", "pool-negative", "own-negative", "random", "pcgrad"])
     def test_removed_setting_is_usage_error_before_any_read(self, tmp_path, capsys, via,
                                                             item, message):
         # only the config file exists: the setting must be refused before any other read
@@ -145,12 +146,16 @@ class TestExitCodes:
         (["build-vocab", "--max-df-frac", "1.5"], "expected a number in (0, 1], got '1.5'"),
         (["augment", "--vocab", "v.json", "--replace-frac", "1.5"],
          "expected a number in (0, 1), got '1.5'"),
-        (["augment", "--vocab", "v.json", "--drop-frac", "0"],
-         "expected a number in (0, 1), got '0'"),
+        (["augment", "--vocab", "v.json", "--drop-frac", "0.3"],
+         "unrecognized arguments: --drop-frac 0.3"),
+        (["augment", "--vocab", "v.json", "--mode", "dropout"],
+         "argument --mode: invalid choice: 'dropout'"),
         (["topics", "--checkpoint", "ck.json", "--vocab", "v.json", "--top-n", "-1"],
-         "expected an integer >= 1, got '-1'"),
+         "expected an integer >= 2, got '-1'"),
         (["topics", "--checkpoint", "ck.json", "--vocab", "v.json", "--top-n", "0"],
-         "expected an integer >= 1, got '0'"),
+         "expected an integer >= 2, got '0'"),
+        (["topics", "--checkpoint", "ck.json", "--vocab", "v.json", "--top-n", "1"],
+         "expected an integer >= 2, got '1'"),
         (["align", "--checkpoint-a", "a.json", "--checkpoint-b", "b.json", "--vocab", "v.json",
           "--threshold", "nan"], "expected a number >= 0, got 'nan'"),
         (["augment", "--vocab", "v.json", "--seed", "-1"], "expected an integer >= 0, got '-1'"),
@@ -169,7 +174,8 @@ class TestExitCodes:
         (["augment", "--vocab", "v.json", "--mode", "llm"],
          "--endpoint is required for llm augmentation"),
     ], ids=["max-size-negative", "max-size-zero", "max-df-frac-above-one",
-            "replace-frac-above-one", "drop-frac-zero", "top-n-negative", "top-n-zero",
+            "replace-frac-above-one", "drop-frac", "mode-dropout",
+            "top-n-negative", "top-n-zero", "top-n-one",
             "threshold-nan", "augment-seed-negative", "classify-seed-negative",
             "timeout-zero", "timeout-negative", "timeout-nan", "timeout-inf",
             "endpoint-file-scheme", "endpoint-missing"])
@@ -606,17 +612,15 @@ class TestPipeline:
         assert "holds no topic line" in capsys.readouterr().err
 
     def test_one_word_topics_are_data_error_not_zero_npmi(self, workdir, capsys):
-        # NPMI averages over word pairs: a one-word topic has none, and once scored 0.0
+        # NPMI averages over word pairs: a one-word topic has none, and once scored 0.0;
+        # topics refuses to write one, and eval refuses to read one (test_evaluate)
         argv = reader_argv(workdir)
-        topics, metrics = workdir / "topics.txt", workdir / "eval.json"
+        topics = workdir / "topics.txt"
         assert cli.main(argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]) == 0
-        assert cli.main(argv["topics"][:-1] + [str(topics), "--top-n", "1"]) == 0
-        assert all(len(line.split()) == 1 for line in topics.read_text().splitlines())
         capsys.readouterr()
-        assert cli.main(argv["eval"]) == cli.EXIT_DATA
-        assert capsys.readouterr().err == (f"data error: {topics}:1: a topic needs at least "
-                                           "two words for NPMI, got 1\n")
-        assert not metrics.exists()
+        assert cli.main(argv["topics"][:-1] + [str(topics), "--top-n", "1"]) == cli.EXIT_USAGE
+        assert "argument --top-n: expected an integer >= 2, got '1'" in capsys.readouterr().err
+        assert not topics.exists()
 
 
 class TestCommandOutputs:
@@ -671,28 +675,23 @@ class TestCommandOutputs:
         assert len(rows) == 1 + len(tiny_texts) and all(r.endswith(",") for r in rows[1:])
 
     def test_dropout_augmentation(self, workdir):
-        reader_argv(workdir)  # writes vocab.json
+        """A cache written by the retired dropout mode (positive: a subset of the
+        anchor's words; negative: words the anchor lacks) still loads and trains:
+        a record's method is informational."""
+        argv = reader_argv(workdir)
         vocab = Vocabulary.load(str(workdir / "vocab.json"))
-        docs = [{vocab.words[w] for w in doc.counts} for doc in
-                make_corpus(load_corpus(str(workdir / "corpus.jsonl")), vocab).documents]
-        caches = []
-        for name in ("a.jsonl", "b.jsonl"):
-            path = workdir / name
-            assert cli.main(["augment", "--input", str(workdir / "corpus.jsonl"),
-                             "--vocab", str(workdir / "vocab.json"), "--output", str(path),
-                             "--mode", "dropout", "--seed", "4"]) == 0
-            caches.append(path.read_bytes())
-        assert caches[0] == caches[1]
-        records = [json.loads(line) for line in caches[0].decode().splitlines()]
-        assert [r["anchor_id"] for r in records] == list(range(len(docs)))
-        for r in records:
-            assert r["method"] == "dropout"
-            for view in (r["positive_text"], r["negative_text"]):
-                assert view and view.keys() <= set(vocab.words)
-                assert all(type(c) is int and c > 0 for c in view.values())
-            assert r["positive_text"].keys() <= docs[r["anchor_id"]]
-            assert not r["negative_text"].keys() & docs[r["anchor_id"]]
-
+        docs = make_corpus(load_corpus(str(workdir / "corpus.jsonl")), vocab).documents
+        records = []
+        for i, doc in enumerate(docs):
+            kept = sorted(doc.counts)[1:] or list(doc.counts)
+            fresh = [w for w in range(vocab.size) if w not in doc.counts][:len(doc.counts)]
+            records.append({"anchor_id": i, "method": "dropout",
+                            "positive_text": {vocab.words[w]: doc.counts[w] for w in kept},
+                            "negative_text": {vocab.words[w]: 1 for w in fresh},
+                            "vocab_hash": vocab.content_hash()})
+        (workdir / "aug.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert cli.main(argv["train"] + TINY_TRAIN + ["--set", "train.epochs=1"]) == 0
+        assert (workdir / "ck.json").exists()
 
     @pytest.mark.parametrize("output", ["vocabulary", "cache", "checkpoint", "train-log",
                                         "topics", "eval", "align", "features"])

@@ -62,7 +62,7 @@ class TestCooccurrenceStats:
             assert stats.word_doc_freq == word_df
             assert stats.pair_doc_freq == {
                 pair: n for pair, n in pair_df.items() if pair in within}
-            scored = [t for t in topics if t]
+            scored = [t for t in topics if len(t) >= 2]
             if scored:
                 assert evaluate.npmi(scored, stats) == evaluate.npmi(scored, full)
 
@@ -99,6 +99,14 @@ class TestNpmi:
         stats = evaluate.CooccurrenceStats.from_corpus(corpus)
         per_topic, _ = evaluate.npmi([[0, 2]], stats)
         assert per_topic == [-1.0]
+
+    @pytest.mark.parametrize("short", [[2], []], ids=["one-word", "no-word"])
+    def test_topic_of_fewer_than_two_words_raises(self, short):
+        # no word pair to average over; a 0.0 in its place would lower the mean
+        corpus = corpus_from_count_rows([[1, 1, 1], [1, 0, 1]], 3)
+        stats = evaluate.CooccurrenceStats.from_corpus(corpus)
+        with pytest.raises(ValueError, match=rf"topic 1 has {len(short)} word\(s\)"):
+            evaluate.npmi([[0, 1], short], stats)
 
     def test_matches_independent_recount(self):
         """Oracle: recount NPMI from raw presence sets on a random corpus."""

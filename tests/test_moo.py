@@ -164,36 +164,10 @@ class TestStrategies:
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
             moo.strategy_dispatch("linear", np.ones(2), np.ones(2), linear_alpha=alpha)
 
-    def test_pcgrad_agreeing_gradients_sum(self):
-        g1 = np.array([1.0, 0.0])
-        g2 = np.array([1.0, 1.0])
-        dec = moo.strategy_dispatch("pcgrad", g1, g2)
-        assert dec.alpha is None
-        np.testing.assert_allclose(dec.direction, [2.0, 1.0])
-
-    def test_pcgrad_conflicting_gradients_projected(self):
-        # g1=(1,0), g2=(-1,1): dot=-1 < 0
-        # p1 = g1 - (-1/2)g2 = (0.5, 0.5); p2 = g2 - (-1/1)g1 = (0, 1)
-        dec = moo.strategy_dispatch("pcgrad", np.array([1.0, 0.0]),
-                                    np.array([-1.0, 1.0]))
-        np.testing.assert_allclose(dec.direction, [0.5, 1.5])
-
-    def test_pcgrad_projections_nonconflicting(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            g1, g2 = random_pair(rng)
-            d = moo.strategy_dispatch("pcgrad", g1, g2).direction
-            # each projected component keeps a nonnegative dot with the other task
-            if float(g1 @ g2) < 0:
-                p1 = g1 - float(g1 @ g2) / float(g2 @ g2) * g2
-                assert float(p1 @ g2) >= -1e-9 * np.linalg.norm(g2) ** 2
-                np.testing.assert_allclose(
-                    d, p1 + (g2 - float(g1 @ g2) / float(g1 @ g1) * g1))
-
     def test_gram_decision_matches_vector_oracles(self):
-        # against the long-double difference-vector solve and the explicit PCGrad projections
+        # against the long-double difference-vector solve
         rng = np.random.default_rng(7)
-        worst = dict(beta=0.0, mgda=0.0, pcgrad=0.0)
+        worst = dict(beta=0.0, mgda=0.0)
         for k in range(1000):
             dim = int(rng.integers(2, 30_001))
             g1 = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
@@ -212,10 +186,6 @@ class TestStrategies:
                                     / np.linalg.norm(ref))
                 assert dec.diagnostics.get("degenerate_pair", False) == \
                     (denom < moo.TIE_EPS)
-            ref = oracles.pcgrad_direction(g1, g2)
-            d = moo.strategy_dispatch("pcgrad", g1, g2).direction
-            worst["pcgrad"] = max(worst["pcgrad"],
-                                  np.linalg.norm(d - ref) / np.linalg.norm(ref))
         # no pair above is degenerate; exact ties are, on both sides
         g = rng.standard_normal(100)
         for losses in (None, (2.0, 2.0)):
@@ -226,7 +196,6 @@ class TestStrategies:
         if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
             assert worst["beta"] <= 1e-12, worst
         assert worst["mgda"] <= 1e-7, worst
-        assert worst["pcgrad"] <= 1e-12, worst
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -250,9 +219,9 @@ rng = np.random.default_rng(2402)
 g1 = 80.0 * rng.standard_normal(21_110)
 g2 = 1000.0 * rng.standard_normal(21_110) - 40.0 * g1
 print("alpha_min_norm", moo.alpha_min_norm(g1, g2).hex())
-for name, losses in (("mgda", None), ("mgda", (350.0, 19000.0)), ("pcgrad", None)):
+for name, losses in (("mgda", None), ("mgda", (350.0, 19000.0))):
     dec = moo.strategy_dispatch(name, g1, g2, losses=losses)
-    print(name, losses, "alpha", dec.alpha if dec.alpha is None else dec.alpha.hex())
+    print(name, losses, "alpha", dec.alpha.hex())
     print(name, losses, "direction", hashlib.sha256(dec.direction.tobytes()).hexdigest())
     for key, value in sorted(dec.diagnostics.items()):
         print(name, losses, key, float(value).hex())

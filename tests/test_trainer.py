@@ -45,7 +45,7 @@ class TestTrainConfig:
         dict(num_topics=0), dict(batch_size=0), dict(epochs=-1),
         dict(set_size=0), dict(set_size=300), dict(shuffle_count=0),
         dict(temperature=0.0), dict(learning_rate=-1.0),
-        dict(moo_strategy="sgd"), dict(moo_strategy="random"),
+        dict(moo_strategy="sgd"), dict(moo_strategy="random"), dict(moo_strategy="pcgrad"),
     ])
     def test_validate_rejects(self, bad):
         cfg = TrainConfig(seed=1, **bad)
@@ -422,5 +422,5 @@ def test_gate_training_independent_of_blas_threads():
 
 def test_every_blend_strategy_independent_of_blas_threads():
     outputs = outputs_at_blas_threads("blend")
-    assert len(outputs[0].splitlines()) == 4
+    assert len(outputs[0].splitlines()) == 3
     assert outputs[0] == outputs[1]
